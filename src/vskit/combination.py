@@ -226,13 +226,13 @@ class GroupData:
         already seen).
         """
         result = enumerate_elements(self.model, depth, max_count=max_count)
+        inverses = {name: m.inverse() for name, m in self.matrices.items()}
         by_word = {(): MoebiusMap.identity()}
         triples = []
         for elem, word in result.elements.items():
             if word:
                 name, exp = word[-1]
-                step = self.matrices[name] if exp > 0 \
-                    else self.matrices[name].inverse()
+                step = self.matrices[name] if exp > 0 else inverses[name]
                 by_word[word] = by_word[word[:-1]] * step
             triples.append((elem, word, by_word[word]))
         return EnumeratedElements(triples, result.exhausted,
@@ -297,13 +297,14 @@ def check_precisely_invariant(X, H, K, depth=6):
         if h_set is None:
             raise group_algebra.UnsupportedSymbolicError(
                 "precise invariance needs a finite cyclic (or trivial) H")
+        power = h_matrix
         for k in range(1, len(h_set)):
-            image = disc_image(h_matrix ** k, X)
-            if not discs_same(image, X):
+            if not discs_same(disc_image(power, X), X):
                 return HypothesisReport(
                     name, "fail",
                     witness=f"{display}^{k} does not fix the disc",
                     depth=depth)
+            power = power * h_matrix
     listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
     for elem, word, matrix in listed.triples:
         if elem in h_set:
@@ -490,8 +491,12 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
                 f"{order} vs {order2}")
         edge_order = order
         conj = A.inverse() * m2 * A
-        if not any(projectively_equal(conj, m1 ** k)
-                   for k in range(1, order + 1) if _coprime(k, order)):
+        power = m1
+        for k in range(1, order + 1):
+            if _coprime(k, order) and projectively_equal(conj, power):
+                break
+            power = power * m1
+        else:
             report = HypothesisReport(
                 "A^-1 H2 A = H1", "fail",
                 witness=f"A^-1 {H2} A is not a generator of <{H1}>")

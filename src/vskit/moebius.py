@@ -1,7 +1,10 @@
 """Moebius and extended Moebius transformations of the Riemann sphere.
 
-Matrices are normalized to determinant one and compared projectively,
-i.e. up to a global sign.  An anticonformal map with matrix M acts as
+Matrices have determinant one and are compared projectively, i.e. up to
+a global sign.  Normalization happens once, when a map is built from
+user entries; products, inverses, powers and conjugates of det-1
+matrices are det-1 by algebra and are stored without re-normalizing.
+An anticonformal map with matrix M acts as
 z -> (a*conj(z) + b) / (c*conj(z) + d).
 """
 
@@ -76,6 +79,11 @@ class MoebiusMap:
     Stored as a 2x2 complex matrix with determinant 1 plus an orientation
     flag.  Two maps are the same transformation exactly when their flags
     agree and their matrices agree up to sign.
+
+    The constructor takes user entries of any nonzero determinant and
+    divides them by its square root; singular matrices are rejected.
+    Products, inverses, powers and conjugates are built from det-1
+    factors and skip that step (see _from_det1).
     """
 
     __slots__ = ("a", "b", "c", "d", "conformal")
@@ -96,8 +104,25 @@ class MoebiusMap:
         self.conformal = bool(conformal)
 
     @classmethod
+    def _from_det1(cls, a, b, c, d, conformal):
+        """Build from complex entries already known to have determinant 1.
+
+        Products and adjugates of det-1 matrices are det-1 by algebra.
+        Re-normalizing them only divides by the square root of a rounded
+        1, and once entries grow large the float determinant cancels and
+        needs an exact rational recomputation, so the algebra is trusted.
+        """
+        obj = cls.__new__(cls)
+        obj.a = a
+        obj.b = b
+        obj.c = c
+        obj.d = d
+        obj.conformal = conformal
+        return obj
+
+    @classmethod
     def identity(cls):
-        return cls(1, 0, 0, 1)
+        return cls._from_det1(1 + 0j, 0j, 0j, 1 + 0j, True)
 
     @property
     def entries(self):
@@ -118,24 +143,26 @@ class MoebiusMap:
 
     def __mul__(self, other):
         """Composition: (self * other)(z) = self(other(z))."""
-        a2, b2, c2, d2 = other.entries
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         if not self.conformal:
             a2, b2, c2, d2 = (a2.conjugate(), b2.conjugate(),
                               c2.conjugate(), d2.conjugate())
-        return MoebiusMap(
+        return MoebiusMap._from_det1(
             self.a * a2 + self.b * c2,
             self.a * b2 + self.b * d2,
             self.c * a2 + self.d * c2,
             self.c * b2 + self.d * d2,
-            conformal=(self.conformal == other.conformal),
+            self.conformal == other.conformal,
         )
 
     def inverse(self):
+        """The adjugate matrix; conjugated for an anticonformal map."""
         if self.conformal:
-            return MoebiusMap(self.d, -self.b, -self.c, self.a)
-        return MoebiusMap(self.d.conjugate(), -self.b.conjugate(),
-                          -self.c.conjugate(), self.a.conjugate(),
-                          conformal=False)
+            return MoebiusMap._from_det1(self.d, -self.b, -self.c, self.a,
+                                         True)
+        return MoebiusMap._from_det1(self.d.conjugate(), -self.b.conjugate(),
+                                     -self.c.conjugate(), self.a.conjugate(),
+                                     False)
 
     def conjugated_by(self, t):
         """Return t * self * t^-1."""
@@ -184,7 +211,12 @@ def projectively_equal(m1, m2, tol=TOL):
 
 
 def is_identity_map(m, tol=TOL):
-    return m.conformal and _projective_gap(m, MoebiusMap.identity()) <= tol
+    """Whether m is conformal with matrix within tol of +I or -I."""
+    if not m.conformal or abs(m.b) > tol or abs(m.c) > tol:
+        return False
+    a, d = m.a, m.d
+    return ((abs(a - 1.0) <= tol and abs(d - 1.0) <= tol)
+            or (abs(a + 1.0) <= tol and abs(d + 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -252,9 +284,7 @@ def _classify_anticonformal(m, tol, max_order):
     if is_identity_map(square, tol):
         # the sign of M * conj(M) distinguishes the two involutions:
         # +I has a circle of fixed points, -I has none
-        ident = MoebiusMap.identity().entries
-        gap_direct = max(abs(x - y) for x, y in zip(square.entries, ident))
-        if gap_direct <= tol:
+        if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
             return MapClass("reflection")
         return MapClass("imaginary-reflection")
     inner = classify(square, tol, max_order)

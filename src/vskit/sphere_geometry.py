@@ -137,17 +137,15 @@ def _pushforward(m, A, B, C):
 
     Returns the raw (un-renormalized) image coefficients.  The values of
     the form are carried over pointwise up to a positive factor, so the
-    sign of the form is preserved, not just its zero set.
+    sign of the form is preserved, not just its zero set.  M^-1 is the
+    adjugate (d, -b, -c, a) of the det-1 matrix M, for either
+    orientation; an anticonformal map pushes the conjugated form.
     """
-    inv = m.inverse()
-    if m.conformal:
-        n1, n2, n3, n4 = inv.entries
-    else:
-        # anticonformal image pushes the conjugated form through M^-1;
-        # inverse() of an anticonformal map stores conj(M^-1), so undo that
-        n1, n2, n3, n4 = (e.conjugate() for e in inv.entries)
-        B = complex(B).conjugate()
-    Bc = complex(B).conjugate()
+    n1, n2, n3, n4 = m.d, -m.b, -m.c, m.a
+    B = complex(B)
+    if not m.conformal:
+        B = B.conjugate()
+    Bc = B.conjugate()
     t11 = A * n1 + B * n3
     t12 = A * n2 + B * n4
     t21 = Bc * n1 + C * n3
@@ -251,7 +249,10 @@ def disc_image(m, disc):
     circle = SphereCircle._from_normalized(A2, B2, C2)
     raw = (A2, B2.real, B2.imag, C2)
     canon = (circle.A, circle.B.real, circle.B.imag, circle.C)
-    k = max(range(4), key=lambda i: abs(canon[i]))
+    k = 0
+    for i in range(1, 4):
+        if abs(canon[i]) > abs(canon[k]):
+            k = i
     return SphereDisc(circle, _sign(raw[k] * canon[k]))
 
 

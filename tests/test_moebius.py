@@ -8,12 +8,15 @@ anticonformal families built on top of them.
 
 import cmath
 import math
+import random
 
 import pytest
 
-from vskit.moebius import (INF, MoebiusMap, apply, attracting_fixed_point,
-                           chordal, classify, compose, fixed_points,
-                           is_identity_map, projectively_equal, sphere_point)
+from vskit import moebius
+from vskit.moebius import (INF, TOL, MoebiusMap, apply,
+                           attracting_fixed_point, chordal, classify, compose,
+                           fixed_points, is_identity_map, projectively_equal,
+                           sphere_point)
 
 
 U = MoebiusMap(1j, 0, 0, -1j)          # z -> -z
@@ -104,6 +107,19 @@ class TestProjectiveEquality:
     def test_identity_detection(self):
         assert is_identity_map(MoebiusMap(-1, 0, 0, -1))
         assert not is_identity_map(SHIFT)
+
+    def test_identity_tolerance_band(self):
+        assert is_identity_map(MoebiusMap.identity())
+        for sign in (1, -1):
+            near = MoebiusMap(sign, 0.5 * TOL, 0, sign)
+            far = MoebiusMap(sign, 2 * TOL, 0, sign)
+            assert is_identity_map(near)
+            assert not is_identity_map(far)
+        assert is_identity_map(MoebiusMap(1 + 0.5 * TOL, 0, 0, 1 - 0.5 * TOL))
+        assert not is_identity_map(MoebiusMap(1 + 2 * TOL, 0, 0, 1))
+
+    def test_reflection_is_not_identity(self):
+        assert not is_identity_map(CONJ)      # matrix I, anticonformal
 
 
 class TestClassification:
@@ -218,3 +234,71 @@ class TestConditioning:
             MoebiusMap(1, 2, 2, 4)
         with pytest.raises(ValueError):
             MoebiusMap(0, 0, 0, 0)
+
+
+# the AC7 rank-2 pairing conjugated by z -> 1.3 e^{0.7i} z + 0.2 + 0.1i,
+# so that no entry of a word matrix is a dyadic rational
+_T = MoebiusMap(1.3 * cmath.exp(0.7j), 0.2 + 0.1j, 0, 1)
+_AC7 = [g.conjugated_by(_T) for g in
+        (MoebiusMap(4, 0, 0, 0.25),
+         MoebiusMap(17 / 8, -15 / 8, -15 / 8, 17 / 8))]
+
+
+class TestTrustedProducts:
+    """Products, inverses, powers and conjugates of det-1 maps are det-1
+    by algebra and are built without re-normalizing."""
+
+    def test_derived_maps_skip_exact_determinant(self, monkeypatch):
+        big = MoebiusMap(1e5, 1, 1, 2e-5)    # float det cancels to noise
+        g = MoebiusMap(2, 0, 0, 0.5)
+
+        def refuse(*entries):
+            raise AssertionError("derived map recomputed its determinant")
+
+        monkeypatch.setattr(moebius, "_exact_det", refuse)
+        conj = big * g * big.inverse()
+        assert abs(conj.trace() - 2.5) < 1e-6
+        assert is_identity_map(conj * conj.inverse())
+        t = big.trace()
+        assert (big ** 2).trace() == pytest.approx(t * t - 2, rel=1e-12)
+        assert projectively_equal(big ** -1, big.inverse())
+        assert is_identity_map(big ** 0)
+        assert projectively_equal(g.conjugated_by(big), conj)
+        assert is_identity_map(MoebiusMap.identity())
+        anti = big * CONJ
+        assert is_identity_map(anti * anti.inverse())
+
+    def test_user_entries_still_normalize(self, monkeypatch):
+        calls = []
+        exact = moebius._exact_det
+
+        def counting(*entries):
+            calls.append(entries)
+            return exact(*entries)
+
+        monkeypatch.setattr(moebius, "_exact_det", counting)
+        with pytest.raises(ValueError):
+            MoebiusMap(1, 2, 2, 4)
+        m = MoebiusMap(4e5, 2, 2, 2e-5)       # det 4, float det cancels
+        assert len(calls) == 2
+        assert m.a == pytest.approx(2e5)
+        assert m.d == pytest.approx(1e-5)
+        assert abs(exact(*m.entries) - 1) < 1e-9
+
+    def test_long_words_stay_det_one(self):
+        # letters g0, g0^-1, g1, g1^-1: index j ^ 1 is the inverse of j
+        letters = [_AC7[0], _AC7[0].inverse(), _AC7[1], _AC7[1].inverse()]
+        rng = random.Random(5)
+        for _ in range(200):
+            word = [rng.randrange(4)]
+            while len(word) < 8:
+                j = rng.randrange(4)
+                if j != word[-1] ^ 1:
+                    word.append(j)
+            m = letters[word[0]]
+            for j in word[1:]:
+                m = m * letters[j]
+            assert abs(moebius._exact_det(*m.entries) - 1) <= 1e-6
+            scale = max(abs(e) for e in m.entries)
+            assert projectively_equal(m, MoebiusMap(*m.entries),
+                                      tol=1e-6 * scale)

@@ -124,6 +124,23 @@ class TestDiscs:
         p = d.interior_point()
         assert d.contains(p)
 
+    @pytest.mark.parametrize("conformal", [True, False])
+    def test_disc_image_adjugate_transport(self, conformal):
+        # a generic map, built as a product so its matrix is not exactly
+        # det 1 in floating point; M^-1 is taken as its adjugate
+        m = (MoebiusMap(1 + 2j, 0.5, 0.3j, 1, conformal=conformal)
+             * MoebiusMap(0.7, -0.2j, 0.4, 1.1))
+        center, radius = 0.3 + 0.2j, 0.5
+        for inside in (True, False):
+            d = SphereDisc.from_center_radius(center, radius, inside=inside)
+            image = disc_image(m, d)
+            for angle in (0.0, 2.0, 4.0):
+                p = center + radius * complex(math.cos(angle),
+                                              math.sin(angle))
+                assert abs(image.circle.eval(m(p))) <= 1e-9
+            assert image.contains(m(d.interior_point()))
+            assert not image.contains(m(d.complement().interior_point()))
+
 
 class TestInversiveProduct:
     def test_frozen_value(self):
