@@ -472,13 +472,6 @@ def _two_point_frame(points):
     return MoebiusMap(1, -complex(pp), 1, -complex(q))
 
 
-def _match_involution(target, source):
-    """A conjugator F with F source F^-1 = target (both involutions)."""
-    Qt = _two_point_frame(fixed_points(target))
-    Qs = _two_point_frame(fixed_points(source))
-    return Qt.inverse() * Qs
-
-
 def _basis_change(H, a, b):
     """A linear automorphism of Z2 x Z2 sending b to a, as an image map."""
     if a == b:
@@ -495,10 +488,6 @@ def _basis_change(H, a, b):
         alpha, beta = decompose(x)
         return H.add(H.scale(alpha, b), H.scale(beta, a))
     return change
-
-
-def _involution_names(bg):
-    return [name for name in bg.symbolic.torsion_names]
 
 
 def _glue_names(spec):

@@ -62,7 +62,8 @@ from .basic_groups import (BasicGroupError, OrbifoldSignature, make_basic,
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
                           free_product, hnn_extension)
 from .cyclic_case import describe, enumerate_signatures
-from .group_algebra import FiniteAbelianGroup, QuotientMap, kernel_rank
+from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
+                            walk_tree)
 from .limitset import disconnectedness_report, render, sample
 from .moebius import MoebiusMap
 from .schottky import DegeneratePairingError, PairingSystem, verify_pairing
@@ -525,22 +526,22 @@ def construct(scene, depth=6):
     return built
 
 
-def _tree_signature(node, groups=None):
+def _tree_signature(node):
     """Signature of the quotient orbifold of the assembled tree.
 
     Free products glue quotients along disc boundaries (connected sum);
     each stable letter adds a handle.
     """
-    if node.kind == "leaf":
-        return orbifold_signature(node.group)
-    if node.kind == "product":
-        left = _tree_signature(node.left)
-        right = _tree_signature(node.right)
-        return OrbifoldSignature(left.genus + right.genus,
-                                 left.cone_orders + right.cone_orders)
-    base = (_tree_signature(node.base) if node.base is not None
-            else OrbifoldSignature(0, ()))
-    return OrbifoldSignature(base.genus + 1, base.cone_orders)
+    genus = 0
+    cone_orders = []
+    for n in walk_tree(node):
+        if n.kind == "leaf":
+            leaf = orbifold_signature(n.group)
+            genus += leaf.genus
+            cone_orders.extend(leaf.cone_orders)
+        elif n.kind == "hnn":
+            genus += 1
+    return OrbifoldSignature(genus, tuple(cone_orders))
 
 
 # ---------------------------------------------------------------------------

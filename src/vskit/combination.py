@@ -15,7 +15,7 @@ from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_image, disc_relation,
                               map_circle)
 from . import group_algebra
-from .group_algebra import symbolic_model, enumerate_elements, tree_leaves
+from .group_algebra import symbolic_model, enumerate_elements, walk_tree
 
 
 class CombinationError(ValueError):
@@ -99,13 +99,7 @@ class FreeProductNode:
 
     @property
     def label(self):
-        if self.amalgam is None:
-            tag = "free product"
-        else:
-            sides = ["*".join((s,) if isinstance(s, str) else s)
-                     for s in self.amalgam]
-            tag = f"amalgam over {sides[0]} ~ {sides[1]}"
-        return f"({self.left.label}) * ({self.right.label}) [{tag}]"
+        return _tree_label(self)
 
     def __repr__(self):
         return f"FreeProductNode({self.label})"
@@ -125,11 +119,31 @@ class HnnNode:
 
     @property
     def label(self):
-        inner = self.base.label if self.base is not None else "trivial"
-        return f"HNN({inner}; stable {self.stable_name})"
+        return _tree_label(self)
 
     def __repr__(self):
         return f"HnnNode({self.label})"
+
+
+def _tree_label(tree):
+    labels = []
+    for node in walk_tree(tree):
+        if node.kind == "leaf":
+            labels.append(node.label)
+        elif node.kind == "product":
+            if node.amalgam is None:
+                tag = "free product"
+            else:
+                sides = ["*".join((s,) if isinstance(s, str) else s)
+                         for s in node.amalgam]
+                tag = f"amalgam over {sides[0]} ~ {sides[1]}"
+            right = labels.pop()
+            left = labels.pop()
+            labels.append(f"({left}) * ({right}) [{tag}]")
+        else:
+            inner = "trivial" if node.base is None else labels.pop()
+            labels.append(f"HNN({inner}; stable {node.stable_name})")
+    return labels.pop()
 
 
 def as_node(group_or_node):
@@ -138,42 +152,26 @@ def as_node(group_or_node):
     return Leaf(group_or_node)
 
 
-def collect_matrices(node, out=None):
+def collect_matrices(node):
     """Generator-name -> MoebiusMap over the whole tree."""
-    if out is None:
-        out = {}
-    if node.kind == "leaf":
-        for name, m in node.group.gens.items():
+    out = {}
+    for n in walk_tree(node):
+        if n.kind == "leaf":
+            gens = n.group.gens.items()
+        elif n.kind == "hnn":
+            gens = ((n.stable_name, n.stable),)
+        else:
+            continue
+        for name, m in gens:
             if name in out:
                 raise ValueError(f"duplicate generator name {name!r}")
             out[name] = m
-    elif node.kind == "product":
-        collect_matrices(node.left, out)
-        collect_matrices(node.right, out)
-    elif node.kind == "hnn":
-        if node.base is not None:
-            collect_matrices(node.base, out)
-        if node.stable_name in out:
-            raise ValueError(f"duplicate generator name {node.stable_name!r}")
-        out[node.stable_name] = node.stable
-    else:
-        raise ValueError(f"unknown node kind {node.kind!r}")
     return out
 
 
 def node_certificates(node):
-    out = []
-    if node.kind == "product":
-        out.extend(node_certificates(node.left))
-        out.extend(node_certificates(node.right))
-        if node.certificate is not None:
-            out.append(node.certificate)
-    elif node.kind == "hnn":
-        if node.base is not None:
-            out.extend(node_certificates(node.base))
-        if node.certificate is not None:
-            out.append(node.certificate)
-    return out
+    return [n.certificate for n in walk_tree(node)
+            if n.kind != "leaf" and n.certificate is not None]
 
 
 @dataclass
@@ -569,14 +567,10 @@ class AssembledGroup:
     model: object = field(repr=False, default=None)
 
     def word_matrix(self, word):
-        m = MoebiusMap.identity()
-        for name, exp in word:
-            m = m * self.generators[name] ** exp
-        return m
+        return GroupData(self.model, self.generators).word_matrix(word)
 
     def elements(self, depth):
-        data = GroupData(self.model, self.generators)
-        return data.elements(depth)
+        return GroupData(self.model, self.generators).elements(depth)
 
     def summary_lines(self):
         out = [f"generators: {' '.join(self.generators)}"]
@@ -610,29 +604,25 @@ def _leaf_relations(group):
     return rels
 
 
-def _tree_relations(node):
+def _tree_relations(tree):
     rels = []
-    if node.kind == "leaf":
-        inner = getattr(node.group, "tree", None)
-        if inner is not None:
-            rels.extend(_tree_relations(inner))
-        else:
-            rels.extend(_leaf_relations(node.group))
-    elif node.kind == "product":
-        rels.extend(_tree_relations(node.left))
-        rels.extend(_tree_relations(node.right))
-        if node.amalgam is not None:
-            left_word, right_word = node.amalgam_images
-            inverted = tuple((name, -exp) for name, exp
-                             in reversed(right_word))
-            rels.append(left_word + inverted)
-    elif node.kind == "hnn":
-        if node.base is not None:
-            rels.extend(_tree_relations(node.base))
-            if node.edge_is_full_base:
-                for name in collect_matrices(node.base):
-                    rels.append(((node.stable_name, 1), (name, 1),
-                                 (node.stable_name, -1), (name, -1)))
+    for node in walk_tree(tree):
+        if node.kind == "leaf":
+            inner = getattr(node.group, "tree", None)
+            if inner is not None:
+                rels.extend(_tree_relations(inner))
+            else:
+                rels.extend(_leaf_relations(node.group))
+        elif node.kind == "product":
+            if node.amalgam is not None:
+                left_word, right_word = node.amalgam_images
+                inverted = tuple((name, -exp) for name, exp
+                                 in reversed(right_word))
+                rels.append(left_word + inverted)
+        elif node.base is not None and node.edge_is_full_base:
+            for name in collect_matrices(node.base):
+                rels.append(((node.stable_name, 1), (name, 1),
+                             (node.stable_name, -1), (name, -1)))
     return rels
 
 

@@ -15,6 +15,7 @@ a finite-index subgroup, chi multiplies by the index, and a free group
 of rank r has chi = 1 - r.  Hence kernel_rank = 1 - |H| * chi.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
@@ -82,6 +83,7 @@ class FiniteAbelianGroup:
 
     def subgroup(self, generators):
         """All elements generated by the given ones (BFS closure)."""
+        generators = set(generators)     # repeats add nothing to the closure
         seen = {self.zero()}
         frontier = [self.zero()]
         while frontier:
@@ -393,7 +395,37 @@ def _element_key(x):
 
 
 # ---------------------------------------------------------------------------
-# construction-tree walks (duck-typed over node.kind)
+# construction-tree walks
+
+
+def walk_tree(tree):
+    """Yield every node of a construction tree once, without recursion.
+
+    Order guarantee: post-order, children before their parent and left
+    before right (an HNN node after its base).  Composite leaves (groups
+    carrying their own .tree, like the B3 amalgams) are yielded as leaves
+    and not entered.  This is the only code that goes down a tree through
+    .left, .right and .base; every other walk is a loop over it.  Folds
+    keep a stack of values: a leaf pushes, a product pops two, an HNN
+    node pops its base if it has one.
+    """
+    # a pre-order that visits right before left, reversed, is the
+    # left-before-right post-order
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = node.kind
+        if kind == "product":
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind == "hnn":
+            if node.base is not None:
+                stack.append(node.base)
+        elif kind != "leaf":
+            raise ValueError(f"unknown node kind {kind!r}")
+    yield from reversed(order)
 
 
 def symbolic_model(tree):
@@ -403,41 +435,33 @@ def symbolic_model(tree):
     models, with the amalgam involution embedded on each side; HNN nodes
     use the covered shapes.
     """
-    kind = tree.kind
-    if kind == "leaf":
-        return tree.group.symbolic
-    if kind == "product":
-        left = symbolic_model(tree.left)
-        right = symbolic_model(tree.right)
-        if tree.amalgam_elements is None:
-            return FreeProductModel(left, right)
-        return FreeProductModel(left, right, tree.amalgam_elements)
-    if kind == "hnn":
-        if tree.base is None:
-            return HnnModel(None, tree.stable_name, False)
-        base = symbolic_model(tree.base)
-        return HnnModel(base, tree.stable_name, tree.edge_is_full_base)
-    raise ValueError(f"unknown node kind {kind!r}")
+    models = []
+    for node in walk_tree(tree):
+        if node.kind == "leaf":
+            models.append(node.group.symbolic)
+        elif node.kind == "product":
+            right = models.pop()
+            left = models.pop()
+            models.append(FreeProductModel(left, right,
+                                           node.amalgam_elements))
+        elif node.base is None:
+            models.append(HnnModel(None, node.stable_name, False))
+        else:
+            models.append(HnnModel(models.pop(), node.stable_name,
+                                   node.edge_is_full_base))
+    return models.pop()
 
 
 def tree_leaves(tree):
     """Leaf nodes of the tree; composite leaves (groups built from their
     own sub-tree, like the B3 amalgams) are expanded into that sub-tree."""
-    kind = tree.kind
-    if kind == "leaf":
-        inner = getattr(tree.group, "tree", None)
-        if inner is not None:
-            yield from tree_leaves(inner)
-        else:
-            yield tree
-    elif kind == "product":
-        yield from tree_leaves(tree.left)
-        yield from tree_leaves(tree.right)
-    elif kind == "hnn":
-        if tree.base is not None:
-            yield from tree_leaves(tree.base)
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
+    for node in walk_tree(tree):
+        if node.kind == "leaf":
+            inner = getattr(node.group, "tree", None)
+            if inner is not None:
+                yield from tree_leaves(inner)
+            else:
+                yield node
 
 
 def euler_characteristic(tree):
@@ -446,35 +470,22 @@ def euler_characteristic(tree):
     Free product over amalgam H: chi = chi_left + chi_right - chi(H);
     HNN over edge H: chi = chi_base - chi(H); chi(trivial) = 1 and
     chi(Z_m) = 1/m.  Leaves carry chi = (1 - rank)/index directly.
+    Unrolled, chi is the sum of the leaf terms minus one edge term per
+    node (plus 1 per HNN over the trivial base), so the walk sums
+    integer numerators per denominator and forms one Fraction sum.
     """
-    kind = tree.kind
-    if kind == "leaf":
-        return tree.group.chi
-    if kind == "product":
-        edge = Fraction(1, tree.amalgam_order)
-        return euler_characteristic(tree.left) \
-            + euler_characteristic(tree.right) - edge
-    if kind == "hnn":
-        edge = Fraction(1, tree.edge_order)
-        base = Fraction(1) if tree.base is None \
-            else euler_characteristic(tree.base)
-        return base - edge
-    raise ValueError(f"unknown node kind {kind!r}")
-
-
-def tree_generators(tree):
-    """Name -> (leaf or node info) for all generators in the tree."""
-    out = {}
-    for leaf in tree_leaves(tree):
-        for name in leaf.group.generator_names:
-            if name in out:
-                raise ValueError(f"duplicate generator name {name!r}")
-            out[name] = leaf
-    if tree.kind == "hnn" and tree.base is not None:
-        if tree.stable_name in out:
-            raise ValueError(f"duplicate generator name {tree.stable_name!r}")
-        out[tree.stable_name] = tree
-    return out
+    numerators = defaultdict(int)
+    for node in walk_tree(tree):
+        if node.kind == "leaf":
+            chi = node.group.chi
+            numerators[chi.denominator] += chi.numerator
+        elif node.kind == "product":
+            numerators[node.amalgam_order] -= 1
+        else:
+            if node.base is None:
+                numerators[1] += 1
+            numerators[node.edge_order] -= 1
+    return sum(Fraction(n, d) for d, n in numerators.items())
 
 
 def normal_form(tree, word):
@@ -589,14 +600,6 @@ class QuotientMap:
         return self.apply(word) == self.target.zero()
 
 
-def theta_apply(theta, word):
-    return theta.apply(word)
-
-
-def is_kernel_word(theta, word):
-    return theta.is_kernel_word(word)
-
-
 @dataclass
 class RankReport:
     chi: Fraction
@@ -677,17 +680,12 @@ def validate_theta(tree, theta):
 
 def _amalgam_theta_problems(tree, theta):
     problems = []
-    kind = tree.kind
-    if kind == "product":
-        if tree.amalgam_images is not None:
-            img1 = theta.apply(tree.amalgam_images[0])
-            img2 = theta.apply(tree.amalgam_images[1])
+    for node in walk_tree(tree):
+        if node.kind == "product" and node.amalgam_images is not None:
+            img1 = theta.apply(node.amalgam_images[0])
+            img2 = theta.apply(node.amalgam_images[1])
             if img1 != img2:
                 problems.append("amalgamated generators have unequal images")
-        problems.extend(_amalgam_theta_problems(tree.left, theta))
-        problems.extend(_amalgam_theta_problems(tree.right, theta))
-    elif kind == "hnn" and tree.base is not None:
-        problems.extend(_amalgam_theta_problems(tree.base, theta))
     return problems
 
 

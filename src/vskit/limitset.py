@@ -13,6 +13,7 @@ points of enumerated elements instead.  Diameters are spherical
 from dataclasses import dataclass
 
 from .combination import GroupData
+from .group_algebra import walk_tree
 from .moebius import INF, TOL, classify, fixed_points
 from .schottky import PairingSystem, count_reduced_words, letter_discs
 from .sphere_geometry import disc_contains, disc_image
@@ -122,17 +123,13 @@ def _sample_pairing(system, depth, require_verified, tol, budget):
 
 def _uncertified_nodes(node):
     problems = []
-    kind = getattr(node, "kind", None)
-    if kind in ("product", "hnn"):
-        cert = node.certificate
-        if cert is None:
-            problems.append(f"{kind} node carries no certificate")
-        elif not cert.ok:
-            problems.append(f"{kind} node certificate has failures")
-        children = (node.left, node.right) if kind == "product" \
-            else (node.base,)
-        for child in children:
-            problems.extend(_uncertified_nodes(child))
+    for n in walk_tree(node):
+        if n.kind == "leaf":
+            continue
+        if n.certificate is None:
+            problems.append(f"{n.kind} node carries no certificate")
+        elif not n.certificate.ok:
+            problems.append(f"{n.kind} node certificate has failures")
     return problems
 
 

@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 
 from vskit.moebius import MoebiusMap, INF, is_identity_map, projectively_equal
-from vskit.sphere_geometry import SphereCircle, SphereDisc
+from vskit.sphere_geometry import SphereCircle, SphereDisc, disc_image
 from vskit.combination import (CombinationError, Leaf, GroupData,
                                check_precisely_invariant,
                                resolve_generator_word, free_product,
                                uncertified_free_product, hnn_extension,
-                               assemble, node_certificates, format_word,
+                               assemble, collect_matrices,
+                               node_certificates, format_word,
                                station_frame, station_boundary,
                                PlacementChain, chain_leaves)
 from vskit.group_algebra import (euler_characteristic, is_identity_word,
-                                 symbolic_model)
-from vskit.basic_groups import make_basic
+                                 symbolic_model, tree_leaves)
+from vskit.basic_groups import make_b3, make_basic
 
 
 def _disc(center, radius, inside=True):
@@ -107,6 +108,48 @@ def test_amalgam_identification_relation_is_recorded():
     assembled = assemble(node)
     assert (("a.U", 1), ("b.U", -1)) in assembled.relations
     assert any("exact-pass" in line for line in assembled.summary_lines())
+
+    # walk order on a mixed tree: an HNN over an amalgam of a B3
+    # composite with a T3 whose c.U is carried onto b.V (fixed at +-9)
+    b3 = make_b3([make_basic("T3", prefix="a."),
+                  make_basic("T3", prefix="b.")], [("a.U", "b.U")])
+    Q = MoebiusMap(1, 9, 1, -9)
+    c = make_basic("T3", prefix="c.").conjugated_by(
+        Q.inverse() * MoebiusMap(9, 0, 0, 1))
+    B1 = disc_image(Q.inverse(), _disc(0, 3.0, inside=False))
+    product = free_product(Leaf(b3), Leaf(c), ("b.V", "c.U"),
+                           B1, B1.complement())
+    c1, c2, r = 3 + 1j, 3 - 1j, 0.2
+    node = hnn_extension(product, MoebiusMap(c2, r * r - c1 * c2, 1, -c1),
+                         _disc(c1, r), _disc(c2, r), stable_name="s")
+    assert list(collect_matrices(node)) == \
+        ["a.U", "a.V", "b.U", "b.V", "c.U", "c.V", "s"]
+    # the trivial edge group adds no relation (and has no symbolic
+    # model, so the HNN itself does not assemble)
+    assert assemble(product).relations == (
+        (("a.U", 2),), (("a.V", 2),),
+        (("a.U", 1), ("a.V", 1), ("a.U", -1), ("a.V", -1)),
+        (("b.U", 2),), (("b.V", 2),),
+        (("b.U", 1), ("b.V", 1), ("b.U", -1), ("b.V", -1)),
+        (("a.U", 1), ("b.U", -1)),
+        (("c.U", 2),), (("c.V", 2),),
+        (("c.U", 1), ("c.V", 1), ("c.U", -1), ("c.V", -1)),
+        (("b.V", 1), ("c.U", -1)))
+    assert [report.name for cert in node_certificates(node)
+            for report in cert.reports] == [
+        "B1, B2 complementary discs with common boundary",
+        "amalgamated generators agree (matrices, order 2)",
+        "B1 precise invariance under <b.V> in left factor",
+        "B2 precise invariance under <c.U> in right factor",
+        "stable letter is loxodromic", "A(Sigma1) = Sigma2",
+        "A(B1) disjoint from B2", "closed B1, B2 disjoint",
+        "B1 precise invariance in base", "B2 precise invariance in base",
+        "no base word drags closed B1 onto closed B2"]
+    assert [leaf.label for leaf in tree_leaves(node)] == \
+        ["T3", "T3 (conjugated)", "T3 (conjugated)"]
+    assert euler_characteristic(node) == Fraction(-5, 4)
+    assert node.label == ("HNN((B3[4 cones]) * (T3 (conjugated)) "
+                          "[amalgam over b.V ~ c.U]; stable s)")
 
 
 def test_free_product_rejects_shared_names():

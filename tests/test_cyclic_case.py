@@ -5,10 +5,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from vskit.combination import CombinationError, assemble
+from vskit.cli import _tree_signature
+from vskit.combination import CombinationError, assemble, node_certificates
 from vskit.cyclic_case import (CyclicSignature, build_cyclic, describe,
                                enumerate_signatures, isomorphism_type,
                                kernel_genus)
+from vskit.limitset import sample
 from vskit.moebius import classify, projectively_equal
 
 
@@ -243,3 +245,22 @@ class TestBuild:
                 assert report.kernel_rank == sig.g
                 total += 1
         assert total == 274
+
+    def test_long_chain_walks_without_recursion(self):
+        # a left-deep chain of 5001 leaves, far past the recursion limit
+        sig = CyclicSignature(2, a=1, c=5000)
+        built = build_cyclic(sig, certify=False)
+        report = built.rank_report()
+        assert report.ok and report.kernel_rank == sig.g == 5001
+        assembled = assemble(built.tree)
+        assert len(assembled.generators) == 5001
+        assert len(assembled.relations) == 5000
+        assert node_certificates(built.tree) == []
+        assert str(_tree_signature(built.tree)) == \
+            "(1;" + ",".join(["2"] * 10000) + ")"
+        text = repr(built.tree)
+        assert text.count("T1(n=2) (conjugated)") == 5000
+        assert text.endswith("[free product])")
+        with pytest.raises(ValueError,
+                           match="product node carries no certificate"):
+            sample(built.tree)
