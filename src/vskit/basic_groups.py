@@ -293,7 +293,8 @@ class BasicGroup:
             if not report.ok:
                 raise PairingConstructionError(
                     "pairing verification failed: "
-                    + "; ".join(report.failures()))
+                    + "; ".join(r.witness or r.name
+                                for r in report.failures()))
         return system
 
 

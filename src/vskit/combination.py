@@ -182,9 +182,6 @@ class EnumeratedElements:
     exhausted: bool
     depth_completed: int
 
-    def __iter__(self):
-        return iter((self.triples, self.exhausted))
-
 
 # elements beyond this stop a bounded sweep at the last full word length
 ENUMERATION_BUDGET = 20000

@@ -126,9 +126,12 @@ TRIVIAL_GROUP = FiniteAbelianGroup(())
 # leaf groups: F_r x| T with T acting by inversions
 
 
-def reduce_free_word(letters):
+def reduce_word(letters):
+    """Freely reduce a sequence of nonzero signed generator indices."""
     out = []
     for x in letters:
+        if x == 0:
+            raise ValueError("letters are nonzero signed indices")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -188,7 +191,7 @@ class LeafSymbolic:
     def multiply(self, x, y):
         w1, t1 = x
         w2, t2 = y
-        return (reduce_free_word(w1 + self._twist(t1, w2)),
+        return (reduce_word(w1 + self._twist(t1, w2)),
                 self.torsion.add(t1, t2))
 
     def inverse(self, x):
@@ -213,24 +216,6 @@ class LeafSymbolic:
 
     def is_torsion(self, x):
         return not x[0]
-
-    def elements_to_length(self, depth):
-        """All elements with free-word length <= depth (exact, no dedup)."""
-        words = [()]
-        frontier = [()]
-        letters = [j for j in range(1, self.rank + 1)]
-        letters += [-j for j in letters]
-        for _ in range(depth):
-            nxt = []
-            for w in frontier:
-                for x in letters:
-                    if not w or w[-1] != -x:
-                        nxt.append(w + (x,))
-            words.extend(nxt)
-            frontier = nxt
-        for w in words:
-            for t in self.torsion.elements():
-                yield (w, t)
 
     def is_finite(self):
         return self.rank == 0
@@ -526,11 +511,8 @@ class EnumerationResult:
     exhausted: bool
     depth_completed: int
 
-    def __iter__(self):
-        return iter((self.elements, self.exhausted))
 
-
-def enumerate_elements(model, depth, generators=None, max_count=None):
+def enumerate_elements(model, depth, max_count=None):
     """BFS over products of generators, deduplicated by normal form.
 
     elements maps each canonical element to a shortest word (tuple of
@@ -539,10 +521,8 @@ def enumerate_elements(model, depth, generators=None, max_count=None):
     max_count set, the walk stops after the last fully completed level
     that fits the budget; depth_completed records how far it got.
     """
-    if generators is None:
-        generators = model.generators()
     steps = []
-    for name, g in generators.items():
+    for name, g in model.generators().items():
         steps.append(((name, 1), g))
         steps.append(((name, -1), model.inverse(g)))
     elements = {model.identity(): ()}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .combination import GroupData
 from .group_algebra import walk_tree
 from .moebius import INF, TOL, classify, fixed_points
-from .schottky import PairingSystem, count_reduced_words, letter_discs
+from .schottky import (PairingSystem, count_reduced_words, letter_discs,
+                       reduced_words)
 from .sphere_geometry import disc_contains, disc_image
 
 __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
@@ -98,26 +99,21 @@ def _sample_pairing(system, depth, require_verified, tol, budget):
     eff = depth
     while eff > 1 and count_reduced_words(genus, eff) > budget:
         eff -= 1
-    letters = [x for j in range(1, genus + 1) for x in (j, -j)]
-    gens = {x: system.generator(x) for x in letters}
+    gens = {x: system.generator(x) for x in discs_by_letter}
+
+    def extend(value, y):
+        m, _ = value
+        return m * gens[y], disc_image(m, discs_by_letter[y])
+
     discs, points, maxdiam = [], [], []
     seen = set()
-    frontier = [((x,), gens[x], discs_by_letter[x]) for x in letters]
-    for level in range(1, eff + 1):
-        if level > 1:
-            nxt = []
-            for word, m, _ in frontier:
-                for y in letters:
-                    if y != -word[-1]:
-                        nxt.append((word + (y,), m * gens[y],
-                                    disc_image(m, discs_by_letter[y])))
-            frontier = nxt
-        level_max = 0.0
-        for word, m, disc in frontier:
-            discs.append((word, disc))
-            level_max = max(level_max, disc.circle.spherical_diameter())
-            _collect_fixed_points(m, points, seen, tol)
-        maxdiam.append(level_max)
+    for word, (m, disc) in reduced_words(
+            genus, eff, lambda x: (gens[x], discs_by_letter[x]), extend):
+        if len(word) > len(maxdiam):
+            maxdiam.append(0.0)
+        discs.append((word, disc))
+        maxdiam[-1] = max(maxdiam[-1], disc.circle.spherical_diameter())
+        _collect_fixed_points(m, points, seen, tol)
     return LimitSetSample(eff, tuple(discs), tuple(points), tuple(maxdiam))
 
 

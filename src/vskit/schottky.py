@@ -9,6 +9,7 @@ written as tuples of nonzero signed generator indices, +j for A_j and
 
 from dataclasses import dataclass, field
 
+from .group_algebra import reduce_word
 from .moebius import MoebiusMap, classify, fixed_points, is_identity_map, TOL
 from . import sphere_geometry
 from .sphere_geometry import SphereDisc, circles_equal, discs_same, disc_image
@@ -49,10 +50,6 @@ class VerificationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
-
-    def first_witness(self):
-        bad = self.failures()
-        return bad[0].witness if bad else ""
 
     def lines(self):
         out = []
@@ -235,19 +232,6 @@ def letter_discs(system, tol=TOL, strict=True):
     return _letter_discs(system, signs)
 
 
-def reduce_word(letters):
-    """Freely reduce a sequence of signed generator indices."""
-    out = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("letters are nonzero signed indices")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def word_map(system, word):
     """The Moebius map of a reduced word."""
     m = MoebiusMap.identity()
@@ -256,23 +240,28 @@ def word_map(system, word):
     return m
 
 
-def reduced_words(genus, depth):
-    """All nonempty reduced words of length <= depth, in BFS order."""
-    letters = []
-    for j in range(1, genus + 1):
-        letters.extend((j, -j))
-    frontier = [(x,) for x in letters]
-    for w in frontier:
-        yield w
-    for _ in range(depth - 1):
-        nxt = []
-        for w in frontier:
-            for x in letters:
-                if x != -w[-1]:
-                    nxt.append(w + (x,))
-        for w in nxt:
-            yield w
-        frontier = nxt
+def reduced_words(genus, depth, start=None, extend=None):
+    """All nonempty reduced words of length <= depth, in BFS order.
+
+    Letters run 1, -1, 2, -2, ... within each length.  Given start(x),
+    the value of the one-letter word (x,), and extend(value, y), the
+    value of a word followed by y computed from the word's own value,
+    the walk yields (word, value) pairs instead of bare words; each
+    value is built once, from its parent's, in the same pass.
+    """
+    letters = [x for j in range(1, genus + 1) for x in (j, -j)]
+    carry = start is not None
+    for length in range(1, depth + 1):
+        if length == 1:
+            frontier = [((x,), start(x) if carry else None) for x in letters]
+        else:
+            frontier = [(word + (y,), extend(value, y) if carry else None)
+                        for word, value in frontier
+                        for y in letters if y != -word[-1]]
+        if carry:
+            yield from frontier
+        else:
+            yield from (word for word, _ in frontier)
 
 
 def count_reduced_words(genus, depth):
@@ -330,22 +319,7 @@ def word_census(system, depth, tol=TOL):
 
 
 def _word_matrices(system, depth):
-    genus = system.genus
-    if genus == 0 or depth <= 0:
-        return
-    letters = []
-    for j in range(1, genus + 1):
-        letters.extend((j, -j))
-    maps = {x: system.generator(x) for x in letters}
-    frontier = [((x,), maps[x]) for x in letters]
-    for item in frontier:
-        yield item
-    for _ in range(depth - 1):
-        nxt = []
-        for word, m in frontier:
-            for x in letters:
-                if x != -word[-1]:
-                    nxt.append((word + (x,), m * maps[x]))
-        for item in nxt:
-            yield item
-        frontier = nxt
+    maps = {x: system.generator(x)
+            for j in range(1, system.genus + 1) for x in (j, -j)}
+    return reduced_words(system.genus, depth, maps.__getitem__,
+                         lambda m, y: m * maps[y])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from vskit import basic_groups
 from vskit.moebius import MoebiusMap, classify, projectively_equal
 from vskit.basic_groups import (BasicGroup, BasicGroupError,
                                 PairingConstructionError, OrbifoldSignature,
@@ -12,6 +13,7 @@ from vskit.basic_groups import (BasicGroup, BasicGroupError,
                                 Gluing)
 from vskit.group_algebra import kernel_rank
 from vskit.combination import Leaf
+from vskit.schottky import VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,21 @@ def test_t6_pairing_requires_real_multipliers():
     t6 = make_basic("T6", lam1=30.0 + 1.0j, lam2=4.0)
     with pytest.raises(PairingConstructionError):
         t6.pairing_system()
+
+
+def test_failed_pairing_verification_names_the_witness(monkeypatch):
+    failing = VerificationReport()
+    failing.add("generator 1 loxodromic", "pass")
+    failing.add("circles pairwise disjoint", "fail",
+                witness="circles 0 and 1 are not disjoint")
+    failing.add("circles bound a common region", "fail")
+    monkeypatch.setattr(basic_groups, "verify_pairing",
+                        lambda system, tol: failing)
+    with pytest.raises(PairingConstructionError) as err:
+        make_basic("T2", lam=4.0).pairing_system()
+    assert str(err.value) == (
+        "pairing verification failed: circles 0 and 1 are not disjoint; "
+        "circles bound a common region")
 
 
 def test_finite_types_have_no_pairing():

@@ -7,7 +7,7 @@ import pytest
 from vskit.group_algebra import (FiniteAbelianGroup, LeafSymbolic,
                                  FreeProductModel, HnnModel, QuotientMap,
                                  TRIVIAL_GROUP, UnsupportedSymbolicError,
-                                 reduce_free_word, enumerate_elements,
+                                 reduce_word, enumerate_elements,
                                  euler_characteristic, normal_form,
                                  is_identity_word, validate_theta,
                                  kernel_rank, symbolic_model)
@@ -41,10 +41,10 @@ def test_subgroup_generation():
 
 
 def test_reduce_free_word():
-    assert reduce_free_word((1, -1)) == ()
-    assert reduce_free_word((1, 2, -2, -1)) == ()
-    assert reduce_free_word((1, 2, -1)) == (1, 2, -1)
-    assert reduce_free_word((2, -2, 1)) == (1,)
+    assert reduce_word((1, -1)) == ()
+    assert reduce_word((1, 2, -2, -1)) == ()
+    assert reduce_word((1, 2, -1)) == (1, 2, -1)
+    assert reduce_word((2, -2, 1)) == (1,)
 
 
 # ---------------------------------------------------------------------------

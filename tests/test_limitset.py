@@ -8,8 +8,10 @@ from vskit.cyclic_case import CyclicSignature, build_cyclic
 from vskit.limitset import (disconnectedness_report, export_lines, render,
                             sample)
 from vskit.moebius import INF, MoebiusMap
-from vskit.schottky import DegeneratePairingError, PairingSystem
-from vskit.sphere_geometry import SphereCircle
+from vskit.schottky import (DegeneratePairingError, PairingSystem,
+                            count_reduced_words, is_nontrivial_to_depth,
+                            ping_pong_disc, reduced_words, word_census)
+from vskit.sphere_geometry import SphereCircle, discs_same
 
 
 def _rank2_system():
@@ -54,6 +56,17 @@ class TestSampling:
     def test_circle_budget_caps_depth(self):
         s = sample(_rank2_system(), depth=8, circle_budget=100)
         assert s.depth == 3 and len(s.discs) == 52
+
+    def test_discs_follow_the_reduced_word_walk(self):
+        system = _rank2_system()
+        s = sample(system, depth=4)
+        assert [word for word, _ in s.discs] == list(reduced_words(2, 4))
+        assert all(discs_same(disc, ping_pong_disc(system, word))
+                   for word, disc in s.discs)
+        total = count_reduced_words(2, 4)
+        assert sum(word_census(system, 4).values()) == total
+        ok, cert = is_nontrivial_to_depth(system, 4)
+        assert ok and cert["words_checked"] == total
 
     def test_certified_tree_yields_points_only(self):
         built = build_cyclic(CyclicSignature(3, n_orders=(3, 3)))

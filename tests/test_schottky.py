@@ -54,6 +54,12 @@ class TestWords:
         assert count_reduced_words(0, 5) == 0
         assert sum(1 for _ in reduced_words(2, 6)) == 1456
 
+    @pytest.mark.parametrize("depth", range(-1, 6))
+    @pytest.mark.parametrize("genus", range(4))
+    def test_walk_matches_count(self, genus, depth):
+        assert len(list(reduced_words(genus, depth))) \
+            == count_reduced_words(genus, depth)
+
     def test_word_map(self):
         ps = rank_one()
         m = word_map(ps, (1, 1))
