@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from vskit.cli import SceneError, parse_scene, run, scene_text
+from vskit.cli import SceneError, construct, parse_scene, run, scene_text
+from vskit.combination import CombinationError
 
 RANK_T4 = """\
 # single commuting-pair leaf with a cyclic quotient
@@ -279,3 +280,81 @@ class TestCommands:
         first = capsys.readouterr().out
         run("build", [path])
         assert capsys.readouterr().out == first
+
+
+# Exact stdout of `vskit verify`: the pairing table form and the
+# bracketed certificate form, byte for byte.
+VERIFY_GOLDEN = [
+    (PAIR_OK, 0, """\
+PASS         generator 1 loxodromic
+PASS         generator 2 loxodromic
+PASS         circles pairwise disjoint
+PASS         circles bound a common region
+PASS         paired discs pairwise disjoint
+PASS         A_1 maps C_1 onto C'_1
+PASS         A_1 throws the common region into C'_1-disc
+PASS         A_2 maps C_2 onto C'_2
+PASS         A_2 throws the common region into C'_2-disc
+9 checks, 0 failures
+"""),
+    (PAIR_OVERLAP, 1, """\
+PASS         generator 1 loxodromic
+PASS         generator 2 loxodromic
+FAIL         circles pairwise disjoint -- circles 0 and 3 are not disjoint
+PASS         A_1 maps C_1 onto C'_1
+FAIL         A_2 maps C_2 onto C'_2 -- image is \
+SphereCircle(center=-1.13333+0j, radius=0.533333)
+5 checks, 2 failures
+"""),
+    (CHAIN3, 0, """\
+[exact-pass] B1, B2 complementary discs with common boundary
+[exact-pass] B1 precise invariance in left factor
+[exact-pass] B2 precise invariance in right factor
+[exact-pass] B1, B2 complementary discs with common boundary
+[pass to depth 6] B1 precise invariance in left factor
+[pass to depth 6] B2 precise invariance in right factor
+6 checks, 0 failures
+"""),
+    (HNN_OK, 0, """\
+[exact-pass] stable letter is loxodromic
+[exact-pass] A(Sigma1) = Sigma2
+[exact-pass] A(B1) disjoint from B2
+[exact-pass] closed B1, B2 disjoint
+4 checks, 0 failures
+"""),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("text,status,expected", VERIFY_GOLDEN,
+                             ids=["PAIR_OK", "PAIR_OVERLAP", "CHAIN3",
+                                  "HNN_OK"])
+    def test_verify_stdout(self, scene_file, capsys, text, status, expected):
+        assert run("verify", [scene_file(text)]) == status
+        assert capsys.readouterr().out == expected
+
+    def test_build_pairing_table(self, scene_file, capsys):
+        assert run("build", [scene_file(PAIR_OVERLAP)]) == 1
+        assert capsys.readouterr().out == (
+            "pairing system of genus 2\n"
+            "  PASS         generator 1 loxodromic\n"
+            "  PASS         generator 2 loxodromic\n"
+            "  FAIL         circles pairwise disjoint -- circles 0 and 3 "
+            "are not disjoint\n"
+            "  PASS         A_1 maps C_1 onto C'_1\n"
+            "  FAIL         A_2 maps C_2 onto C'_2 -- image is "
+            "SphereCircle(center=-1.13333+0j, radius=0.533333)\n"
+            "# normalized scene\n"
+            "pairing\n"
+            "  pair 0 0 1/4 0 0 4 4 0 0 1/4\n"
+            "  pair 17/15 0 8/15 -17/15 0 6/5 17/8 -15/8 -15/8 17/8\n")
+
+    def test_combination_error_message_is_the_failing_line(self):
+        with pytest.raises(CombinationError) as info:
+            construct(parse_scene(HNN_WRONG_IMAGE))
+        err = info.value
+        assert str(err) == err.report.line()
+        assert str(err) == (
+            "[FAIL] A(Sigma1) = Sigma2: witness A(Sigma1) = "
+            "SphereCircle(center=-0+0j, radius=4), "
+            "Sigma2 = SphereCircle(center=0-0j, radius=16)")
