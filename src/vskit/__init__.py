@@ -11,10 +11,10 @@ samples limit sets for disconnectedness and decay diagnostics.
 from .basic_groups import (BasicGroup, BasicGroupError, Gluing,
                            OrbifoldSignature, PairingConstructionError,
                            make_b3, make_basic, orbifold_signature)
-from .combination import (AssembledGroup, Certificate, CombinationError,
-                          GroupData, HypothesisReport, Leaf, PlacementChain,
-                          assemble, chain_leaves, check_precisely_invariant,
-                          free_product, hnn_extension, resolve_generator_word,
+from .combination import (AssembledGroup, CombinationError, GroupData, Leaf,
+                          PlacementChain, assemble, chain_leaves,
+                          check_precisely_invariant, free_product,
+                          hnn_extension, resolve_generator_word,
                           station_boundary, station_frame,
                           uncertified_free_product)
 from .cyclic_case import (CyclicConstruction, CyclicSignature, build_cyclic,
@@ -28,9 +28,10 @@ from .limitset import (DisconnectednessReport, LimitSetSample,
                        disconnectedness_report, export_lines, render, sample)
 from .moebius import (INF, TOL, MoebiusMap, chordal, classify, fixed_points,
                       is_identity_map, projectively_equal, sphere_point)
-from .schottky import (DegeneratePairingError, PairingSystem,
-                       count_reduced_words, letter_discs, ping_pong_disc,
-                       reduced_words, verify_pairing, word_census)
+from .schottky import (Check, CheckReport, DegeneratePairingError,
+                       PairingSystem, count_reduced_words, letter_discs,
+                       ping_pong_disc, reduced_words, verify_pairing,
+                       word_census)
 from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
                               SphereDisc, disc_contains, disc_image,
                               disc_relation, inversive_product, map_circle,
@@ -39,11 +40,11 @@ from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssembledGroup", "BasicGroup", "BasicGroupError", "Certificate",
-    "CombinationError", "CyclicConstruction", "CyclicSignature",
-    "DegeneratePairingError", "DegenerateWitnessError",
+    "AssembledGroup", "BasicGroup", "BasicGroupError", "Check",
+    "CheckReport", "CombinationError", "CyclicConstruction",
+    "CyclicSignature", "DegeneratePairingError", "DegenerateWitnessError",
     "DisconnectednessReport", "FiniteAbelianGroup", "Gluing", "GroupData",
-    "HypothesisReport", "INF", "Leaf", "LeafSymbolic", "LimitSetSample",
+    "INF", "Leaf", "LeafSymbolic", "LimitSetSample",
     "MoebiusMap", "OrbifoldSignature", "PairingConstructionError",
     "PairingSystem", "PlacementChain", "QuotientMap", "RankReport",
     "SphereCircle", "SphereDisc", "TOL", "assemble", "build_cyclic",

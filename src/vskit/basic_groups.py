@@ -249,7 +249,7 @@ class BasicGroup:
         if self.btype in ("T6", "T7"):
             lam2 = complex(self.params["lambda2"]).real
             edge = _annulus_threshold(lam2)
-            if lam1 <= edge + 1e-9:
+            if lam1 <= edge + _LAMBDA_MARGIN:
                 raise PairingConstructionError(
                     f"concentric circle family needs lambda1 > {edge:.6g} "
                     f"for lambda2 = {lam2:.6g}")
@@ -257,7 +257,7 @@ class BasicGroup:
         if self.btype == "T7":
             lam3 = complex(self.params["lambda3"]).real
             edge = _annulus_threshold(lam3)
-            if lam1 <= edge + 1e-9:
+            if lam1 <= edge + _LAMBDA_MARGIN:
                 raise PairingConstructionError(
                     f"concentric circle family needs lambda1 > {edge:.6g} "
                     f"for lambda3 = {lam3:.6g}")
@@ -293,8 +293,7 @@ class BasicGroup:
             if not report.ok:
                 raise PairingConstructionError(
                     "pairing verification failed: "
-                    + "; ".join(r.witness or r.name
-                                for r in report.failures()))
+                    + report.failure_message())
         return system
 
 

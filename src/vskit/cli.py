@@ -66,7 +66,8 @@ from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
                             walk_tree)
 from .limitset import disconnectedness_report, render, sample
 from .moebius import MoebiusMap
-from .schottky import DegeneratePairingError, PairingSystem, verify_pairing
+from .schottky import (DegeneratePairingError, PairingSystem, pairing_lines,
+                       verify_pairing)
 from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
                               SphereDisc)
 
@@ -555,7 +556,7 @@ def _cmd_build(ns):
     if built.system is not None:
         report = verify_pairing(built.system)
         print(f"pairing system of genus {built.system.genus}")
-        for line in report.lines():
+        for line in pairing_lines(report):
             print("  " + line)
         status = 0 if report.ok else 1
     elif built.node is not None:
@@ -571,23 +572,18 @@ def _cmd_build(ns):
 def _cmd_verify(ns):
     scene = load_scene(ns.scene)
     built = construct(scene, depth=ns.depth)
-    checks = 0
-    failures = []
+    checks, lines = [], []
     if built.system is not None:
         report = verify_pairing(built.system)
-        for line in report.lines():
-            print(line)
-        checks = len(report.checks)
-        failures = [c.name for c in report.failures()]
+        checks, lines = report.checks, pairing_lines(report)
     elif built.node is not None:
-        assembled = assemble(built.node)
-        for cert in assembled.certificates:
-            for r in cert.reports:
-                print(r.line())
-                checks += 1
-                if not r.ok:
-                    failures.append(r.name)
-    print(f"{checks} checks, {len(failures)} failures")
+        checks = [c for cert in assemble(built.node).certificates
+                  for c in cert.checks]
+        lines = [c.line() for c in checks]
+    for line in lines:
+        print(line)
+    failures = sum(not c.ok for c in checks)
+    print(f"{len(checks)} checks, {failures} failures")
     return 1 if failures else 0
 
 
@@ -691,6 +687,9 @@ def run(command, args=()):
     except (CombinationError, BasicGroupError, DegeneratePairingError,
             DegenerateWitnessError, ValueError) as err:
         print(f"FAIL: {err}")
+        return 1
+    except (RecursionError, MemoryError) as err:
+        print(f"FAIL: input too large to process ({type(err).__name__})")
         return 1
     except OSError as err:
         print(f"input error: {err}")

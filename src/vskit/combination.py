@@ -8,7 +8,7 @@ not a proof; a failed check always carries a concrete witness.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .moebius import MoebiusMap, classify, projectively_equal, is_identity_map
 from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
@@ -16,47 +16,22 @@ from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               map_circle)
 from . import group_algebra
 from .group_algebra import symbolic_model, enumerate_elements, walk_tree
+from .schottky import Check, CheckReport
 
 
 class CombinationError(ValueError):
-    """A combination hypothesis failed; carries the failing report."""
+    """A combination hypothesis failed; carries the failing check."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
-@dataclass
-class HypothesisReport:
-    name: str
-    status: str                    # "pass" | "bounded-pass" | "fail"
-    witness: object = None
-    depth: int = 0
-
-    @property
-    def ok(self):
-        return self.status != "fail"
-
-    def line(self):
-        if self.status == "pass":
-            return f"[exact-pass] {self.name}"
-        if self.status == "bounded-pass":
-            return f"[pass to depth {self.depth}] {self.name}"
-        return f"[FAIL] {self.name}: witness {self.witness}"
-
-
-@dataclass
-class Certificate:
-    reports: tuple
-    depth: int
-    discs: tuple = ()
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.reports)
-
-    def lines(self):
-        return [r.line() for r in self.reports]
+def _require(check):
+    """A failed hypothesis stops the combination, carrying its check."""
+    if not check.ok:
+        raise CombinationError(check.line(), check)
+    return check
 
 
 def format_word(word):
@@ -295,26 +270,29 @@ def check_precisely_invariant(X, H, K, depth=6):
         power = h_matrix
         for k in range(1, len(h_set)):
             if not discs_same(disc_image(power, X), X):
-                return HypothesisReport(
-                    name, "fail",
-                    witness=f"{display}^{k} does not fix the disc",
-                    depth=depth)
+                return Check(name, "fail",
+                             f"{display}^{k} does not fix the disc", depth)
             power = power * h_matrix
     listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
     for elem, word, matrix in listed.triples:
-        if elem in h_set:
-            continue
-        if disc_relation(disc_image(matrix, X), X) == "meets":
-            return HypothesisReport(
-                name, "fail", witness=format_word(word),
-                depth=listed.depth_completed)
+        if (elem not in h_set
+                and disc_relation(disc_image(matrix, X), X) == "meets"):
+            return Check(name, "fail", format_word(word),
+                         listed.depth_completed)
     status = "pass" if listed.exhausted else "bounded-pass"
-    return HypothesisReport(name, status, depth=listed.depth_completed)
+    return Check(name, status, depth=listed.depth_completed)
 
 
 def _element_order_in(model, g, cap=64):
     closure = _cyclic_closure(model, g, cap)
     return None if closure is None else max(len(closure), 1)
+
+
+def _require_invariant(report, disc, X, H, data, depth, where):
+    """Record the precise invariance of disc X under H in a factor."""
+    check = check_precisely_invariant(X, H, data, depth)
+    report.checks.append(
+        _require(replace(check, name=f"{disc} {check.name} in {where}")))
 
 
 def _word_of_names(spec):
@@ -331,7 +309,7 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     torsion elements that are not generators themselves.  B1 must be
     precisely invariant under the amalgam in the left group and B2 in
     the right group.  Any failed hypothesis raises CombinationError with
-    the failing report attached.
+    the failing check attached.
     """
     left = as_node(left)
     right = as_node(right)
@@ -342,15 +320,10 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
         raise CombinationError(
             f"generator names shared across factors: {sorted(dupes)}")
 
-    reports = []
-    if discs_same(B2, B1.complement()):
-        reports.append(HypothesisReport("B1, B2 complementary discs with "
-                                        "common boundary", "pass"))
-    else:
-        report = HypothesisReport(
-            "B1, B2 complementary discs with common boundary", "fail",
-            witness="B2 is not the complement of B1")
-        raise CombinationError(report.line(), report)
+    report = CheckReport()
+    _require(report.add("B1, B2 complementary discs with common boundary",
+                        discs_same(B2, B1.complement()),
+                        lambda: "B2 is not the complement of B1"))
 
     amalgam_order = 1
     amalgam_elements = None
@@ -368,38 +341,25 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
         except KeyError as err:
             raise CombinationError(f"right amalgam: {err.args[0]}")
         if not projectively_equal(m_left, m_right):
-            report = HypothesisReport(
-                "amalgamated generators agree as matrices", "fail",
-                witness=f"{disp_l} and {disp_r} differ")
-            raise CombinationError(report.line(), report)
+            _require(Check("amalgamated generators agree as matrices",
+                           "fail", f"{disp_l} and {disp_r} differ"))
         order_left = _element_order_in(left_data.model, e_left)
         order_right = _element_order_in(right_data.model, e_right)
         if order_left is None or order_left != order_right:
-            report = HypothesisReport(
-                "amalgamated generators have equal finite order", "fail",
-                witness=f"orders {order_left} vs {order_right}")
-            raise CombinationError(report.line(), report)
+            _require(Check("amalgamated generators have equal finite order",
+                           "fail", f"orders {order_left} vs {order_right}"))
         amalgam_order = order_left
         amalgam_elements = (e_left, e_right)
         amalgam_images = (_word_of_names(h_left), _word_of_names(h_right))
-        reports.append(HypothesisReport(
-            "amalgamated generators agree (matrices, order "
-            f"{amalgam_order})", "pass"))
+        report.add("amalgamated generators agree (matrices, order "
+                   f"{amalgam_order})", True)
 
-    r1 = check_precisely_invariant(B1, h_left, left_data, depth)
-    r1.name = "B1 " + r1.name + " in left factor"
-    reports.append(r1)
-    if not r1.ok:
-        raise CombinationError(r1.line(), r1)
-    r2 = check_precisely_invariant(B2, h_right, right_data, depth)
-    r2.name = "B2 " + r2.name + " in right factor"
-    reports.append(r2)
-    if not r2.ok:
-        raise CombinationError(r2.line(), r2)
-
-    certificate = Certificate(tuple(reports), depth, (B1, B2))
+    _require_invariant(report, "B1", B1, h_left, left_data, depth,
+                       "left factor")
+    _require_invariant(report, "B2", B2, h_right, right_data, depth,
+                       "right factor")
     return FreeProductNode(left, right, amalgam, amalgam_order,
-                           amalgam_elements, amalgam_images, certificate)
+                           amalgam_elements, amalgam_images, report)
 
 
 def uncertified_free_product(left, right):
@@ -430,39 +390,21 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
         raise CombinationError(
             f"stable letter name {stable_name!r} already used in the base")
 
-    reports = []
+    report = CheckReport()
     kind = classify(A)
-    if kind.kind != "loxodromic":
-        report = HypothesisReport("stable letter is loxodromic", "fail",
-                                  witness=f"classified {kind.kind}")
-        raise CombinationError(report.line(), report)
-    reports.append(HypothesisReport("stable letter is loxodromic", "pass"))
-
+    _require(report.add("stable letter is loxodromic",
+                        kind.kind == "loxodromic",
+                        lambda: f"classified {kind.kind}"))
     sigma2 = map_circle(A, B1.circle)
-    if circles_equal(sigma2, B2.circle):
-        reports.append(HypothesisReport("A(Sigma1) = Sigma2", "pass"))
-    else:
-        report = HypothesisReport(
-            "A(Sigma1) = Sigma2", "fail",
-            witness=f"A(Sigma1) = {sigma2!r}, Sigma2 = {B2.circle!r}")
-        raise CombinationError(report.line(), report)
-
-    if discs_same(disc_image(A, B1), B2.complement()):
-        reports.append(HypothesisReport("A(B1) disjoint from B2", "pass"))
-    else:
-        report = HypothesisReport(
-            "A(B1) disjoint from B2", "fail",
-            witness="A maps B1 onto B2 (wrong side)")
-        raise CombinationError(report.line(), report)
-
+    _require(report.add(
+        "A(Sigma1) = Sigma2", circles_equal(sigma2, B2.circle),
+        lambda: f"A(Sigma1) = {sigma2!r}, Sigma2 = {B2.circle!r}"))
+    _require(report.add("A(B1) disjoint from B2",
+                        discs_same(disc_image(A, B1), B2.complement()),
+                        lambda: "A maps B1 onto B2 (wrong side)"))
     relation = disc_relation(B1, B2)
-    if relation == "disjoint":
-        reports.append(HypothesisReport("closed B1, B2 disjoint", "pass"))
-    else:
-        report = HypothesisReport(
-            "closed B1, B2 disjoint", "fail",
-            witness=f"discs {relation}: B1 = {B1!r}, B2 = {B2!r}")
-        raise CombinationError(report.line(), report)
+    _require(report.add("closed B1, B2 disjoint", relation == "disjoint",
+                        lambda: f"discs {relation}: B1 = {B1!r}, B2 = {B2!r}"))
 
     edge_order = 1
     edge_is_full_base = base_node is None
@@ -487,45 +429,33 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
         edge_order = order
         conj = A.inverse() * m2 * A
         power = m1
+        generates = False
         for k in range(1, order + 1):
             if _coprime(k, order) and projectively_equal(conj, power):
+                generates = True
                 break
             power = power * m1
-        else:
-            report = HypothesisReport(
-                "A^-1 H2 A = H1", "fail",
-                witness=f"A^-1 {H2} A is not a generator of <{H1}>")
-            raise CombinationError(report.line(), report)
-        reports.append(HypothesisReport("A^-1 H2 A = H1", "pass"))
+        _require(report.add(
+            "A^-1 H2 A = H1", generates,
+            lambda: f"A^-1 {H2} A is not a generator of <{H1}>"))
 
     if base_data is not None:
-        r1 = check_precisely_invariant(B1, H1, base_data, depth)
-        r1.name = "B1 " + r1.name + " in base"
-        reports.append(r1)
-        if not r1.ok:
-            raise CombinationError(r1.line(), r1)
-        r2 = check_precisely_invariant(B2, H2, base_data, depth)
-        r2.name = "B2 " + r2.name + " in base"
-        reports.append(r2)
-        if not r2.ok:
-            raise CombinationError(r2.line(), r2)
+        _require_invariant(report, "B1", B1, H1, base_data, depth, "base")
+        _require_invariant(report, "B2", B2, H2, base_data, depth, "base")
 
         listed = base_data.elements(depth, max_count=ENUMERATION_BUDGET)
-        sweep = HypothesisReport("no base word drags closed B1 onto "
-                                 "closed B2", "bounded-pass",
-                                 depth=listed.depth_completed)
-        for elem, word, matrix in listed.triples:
-            if disc_relation(disc_image(matrix, B1), B2) != "disjoint":
-                sweep = HypothesisReport(
-                    sweep.name, "fail", witness=format_word(word),
-                    depth=listed.depth_completed)
-                break
+        name = "no base word drags closed B1 onto closed B2"
+        dragged = next((word for _, word, matrix in listed.triples
+                        if disc_relation(disc_image(matrix, B1), B2)
+                        != "disjoint"), None)
+        if dragged is not None:
+            sweep = Check(name, "fail", format_word(dragged),
+                          listed.depth_completed)
+        elif listed.exhausted:
+            sweep = Check(name, "pass", depth=depth)
         else:
-            if listed.exhausted:
-                sweep = HypothesisReport(sweep.name, "pass", depth=depth)
-        reports.append(sweep)
-        if not sweep.ok:
-            raise CombinationError(sweep.line(), sweep)
+            sweep = Check(name, "bounded-pass", depth=listed.depth_completed)
+        report.checks.append(_require(sweep))
 
         # symbolic coverage: stable letter commuting with a fully torsion
         # base whose torsion equals the edge group
@@ -540,9 +470,8 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
             edge_is_full_base = (full is not None and len(full) == size
                                  and commutes)
 
-    certificate = Certificate(tuple(reports), depth, (B1, B2))
     return HnnNode(base_node, stable_name, A, edge_order,
-                   edge_is_full_base, certificate)
+                   edge_is_full_base, report)
 
 
 def _coprime(a, b):
@@ -574,10 +503,10 @@ class AssembledGroup:
         out.append(f"relations: {len(self.relations)}")
         for rel in self.relations:
             out.append(f"  {format_word(rel)} = 1")
-        checks = [r for cert in self.certificates for r in cert.reports]
+        checks = [c for cert in self.certificates for c in cert.checks]
         out.append(f"certificates: {len(checks)} checks")
-        for r in checks:
-            out.append(f"  {r.line()}")
+        for c in checks:
+            out.append(f"  {c.line()}")
         return out
 
 

@@ -4,9 +4,9 @@ For a verified pairing system the limit set is approximated by the
 ping-pong discs of all reduced words up to a depth: each word's disc
 nests strictly inside its parent's, so the terminal discs cover the
 limit set by shrinking closed discs, a numerical witness of total
-disconnectedness.  Assembled trees carry per-certificate discs but no
-global circle system, so they are sampled through the loxodromic fixed
-points of enumerated elements instead.  Diameters are spherical
+disconnectedness.  Assembled trees carry no global circle system, so
+they are sampled through the loxodromic fixed points of enumerated
+elements instead.  Diameters are spherical
 (chordal) throughout, since infinity may be a limit point.
 """
 

@@ -5,6 +5,9 @@ bound a common region D of the sphere, with A_j mapping C_j onto C'_j
 and throwing D off itself.  Reduced words in the pairing maps are
 written as tuples of nonzero signed generator indices, +j for A_j and
 -j for A_j^-1, with 1-based j.
+
+Check and CheckReport, the record of one machine-checked hypothesis
+and the list of them, are shared with the combination certificates.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +23,8 @@ class DegeneratePairingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one verified hypothesis.
+class Check:
+    """Outcome of one machine-checked hypothesis.
 
     status is 'pass', 'bounded-pass' (checked only up to a word depth)
     or 'fail'; a failure carries a human-readable witness.
@@ -36,13 +39,33 @@ class CheckResult:
     def ok(self):
         return self.status in ("pass", "bounded-pass")
 
+    def line(self):
+        """The bracketed certificate line of a combination hypothesis."""
+        if self.status == "pass":
+            return f"[exact-pass] {self.name}"
+        if self.status == "bounded-pass":
+            return f"[pass to depth {self.depth}] {self.name}"
+        return f"[FAIL] {self.name}: witness {self.witness}"
+
 
 @dataclass
-class VerificationReport:
+class CheckReport:
+    """The checks of one verification or combination, in the order run."""
+
     checks: list = field(default_factory=list)
 
-    def add(self, name, status, witness="", depth=None):
-        self.checks.append(CheckResult(name, status, witness, depth))
+    def add(self, name, passed, witness=None):
+        """Append a pass or a fail of the named check and return it.
+
+        witness() gives the failure witness; it is called only on
+        failure, since many witnesses format circles.
+        """
+        if passed:
+            check = Check(name, "pass")
+        else:
+            check = Check(name, "fail", witness() if witness else "")
+        self.checks.append(check)
+        return check
 
     @property
     def ok(self):
@@ -51,16 +74,9 @@ class VerificationReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def lines(self):
-        out = []
-        for c in self.checks:
-            line = f"{c.status.upper():12s} {c.name}"
-            if c.depth is not None:
-                line += f" (depth {c.depth})"
-            if c.witness:
-                line += f" -- {c.witness}"
-            out.append(line)
-        return out
+    def failure_message(self):
+        """Each failure's witness (or name), joined into one line."""
+        return "; ".join(c.witness or c.name for c in self.failures())
 
 
 class PairingSystem:
@@ -119,41 +135,35 @@ def verify_pairing(system, tol=TOL):
     be loxodromic, and fixed points on pairing circles are rejected as
     degenerate input.
     """
-    report = VerificationReport()
+    report = CheckReport()
     circles = system.all_circles()
     for j, (c, cp, m) in enumerate(system.pairs, start=1):
         cls = classify(m, tol)
-        if cls.kind == "loxodromic":
-            report.add(f"generator {j} loxodromic", "pass")
+        if report.add(f"generator {j} loxodromic", cls.kind == "loxodromic",
+                      lambda: f"classified {cls.kind}").ok:
             for p in fixed_points(m, tol):
                 for k, circle in enumerate(circles):
                     if abs(circle.eval(p)) <= tol:
                         raise DegeneratePairingError(
                             f"fixed point of generator {j} lies on circle {k}")
-        else:
-            report.add(f"generator {j} loxodromic", "fail",
-                       witness=f"classified {cls.kind}")
 
     disjoint = True
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
             if not sphere_geometry.circles_disjoint(circles[i], circles[j], tol):
-                report.add("circles pairwise disjoint", "fail",
-                           witness=f"circles {i} and {j} are not disjoint")
+                report.add("circles pairwise disjoint", False,
+                           lambda: f"circles {i} and {j} are not disjoint")
                 disjoint = False
     if disjoint:
-        report.add("circles pairwise disjoint", "pass")
+        report.add("circles pairwise disjoint", True)
 
     signs = None
     if disjoint and circles:
         signs, problem = _other_side_assignment(circles, tol)
-        if signs is None:
-            report.add("circles bound a common region", "fail",
-                       witness=problem)
-        else:
-            report.add("circles bound a common region", "pass")
+        report.add("circles bound a common region", signs is not None,
+                   lambda: problem)
     elif not circles:
-        report.add("circles bound a common region", "pass")
+        report.add("circles bound a common region", True)
 
     if signs is not None:
         # signs[k] is the sign of eval on the D side of circle k, and a
@@ -165,34 +175,35 @@ def verify_pairing(system, tol=TOL):
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
                 if sphere_geometry.disc_relation(discs[i], discs[j], tol) != "disjoint":
-                    report.add("paired discs pairwise disjoint", "fail",
-                               witness=f"discs {i} and {j} meet")
+                    report.add("paired discs pairwise disjoint", False,
+                               lambda: f"discs {i} and {j} meet")
                     signs = None
         if signs is not None:
-            report.add("paired discs pairwise disjoint", "pass")
+            report.add("paired discs pairwise disjoint", True)
 
     for j, (c, cp, m) in enumerate(system.pairs, start=1):
         image = sphere_geometry.map_circle(m, c)
-        if circles_equal(image, cp, tol):
-            report.add(f"A_{j} maps C_{j} onto C'_{j}", "pass")
-        else:
-            report.add(f"A_{j} maps C_{j} onto C'_{j}", "fail",
-                       witness=f"image is {image!r}")
-            continue
-        if signs is None:
+        if (not report.add(f"A_{j} maps C_{j} onto C'_{j}",
+                           circles_equal(image, cp, tol),
+                           lambda: f"image is {image!r}").ok
+                or signs is None):
             continue
         d_side = SphereDisc(c, -signs[2 * (j - 1)])       # the D side of C_j
         target = SphereDisc(cp, signs[2 * (j - 1) + 1])   # non-D side of C'_j
-        if discs_same(disc_image(m, d_side), target, tol):
-            report.add(f"A_{j} throws the common region into C'_{j}-disc",
-                       "pass")
-        else:
-            report.add(f"A_{j} throws the common region into C'_{j}-disc",
-                       "fail", witness="image disc is on the wrong side")
+        report.add(f"A_{j} throws the common region into C'_{j}-disc",
+                   discs_same(disc_image(m, d_side), target, tol),
+                   lambda: "image disc is on the wrong side")
 
     if report.ok and signs is not None:
         system._discs = _letter_discs(system, signs)
     return report
+
+
+def pairing_lines(report):
+    """verify_pairing's table: one status-column line per check."""
+    return [f"{c.status.upper():12s} {c.name}"
+            + (f" -- {c.witness}" if c.witness else "")
+            for c in report.checks]
 
 
 def _letter_discs(system, signs):
@@ -209,8 +220,7 @@ def _require_verified(system, tol):
         report = verify_pairing(system, tol)
         if not report.ok:
             raise ValueError("pairing system failed verification: "
-                             + "; ".join(r.witness or r.name
-                                         for r in report.failures()))
+                             + report.failure_message())
     return system._discs
 
 

@@ -14,9 +14,8 @@ for lines or discs containing infinity are needed.
 import cmath
 import math
 
-from .moebius import INF, MoebiusMap, sphere_point, chordal  # noqa: F401
+from .moebius import INF, TOL, MoebiusMap, sphere_point, chordal  # noqa: F401
 
-TOL = 1e-9
 _LINE_BAND = 1e-12   # |A| below this counts as a line
 
 

@@ -5,10 +5,12 @@ tolerance it was checked at.
 """
 
 import cmath
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -281,10 +283,14 @@ def test_ac8_determinism(tmp_path):
         ("rank", ["rank", str(rank_scene)]),
         ("enumerate-cyclic", ["enumerate-cyclic", "6", "8"]),
     ]
+    # the subprocesses import vskit from this checkout's src directory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     bad = []
     for label, args in invocations:
         runs = [subprocess.run([sys.executable, "-m", "vskit.cli", *args],
-                               capture_output=True, check=False)
+                               capture_output=True, check=False, env=env)
                 for _ in range(2)]
         if not (runs[0].returncode == runs[1].returncode == 0
                 and runs[0].stdout == runs[1].stdout

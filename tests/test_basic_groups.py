@@ -13,7 +13,7 @@ from vskit.basic_groups import (BasicGroup, BasicGroupError,
                                 Gluing)
 from vskit.group_algebra import kernel_rank
 from vskit.combination import Leaf
-from vskit.schottky import VerificationReport
+from vskit.schottky import Check, CheckReport
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +207,11 @@ def test_t6_pairing_requires_real_multipliers():
 
 
 def test_failed_pairing_verification_names_the_witness(monkeypatch):
-    failing = VerificationReport()
-    failing.add("generator 1 loxodromic", "pass")
-    failing.add("circles pairwise disjoint", "fail",
-                witness="circles 0 and 1 are not disjoint")
-    failing.add("circles bound a common region", "fail")
+    failing = CheckReport([
+        Check("generator 1 loxodromic", "pass"),
+        Check("circles pairwise disjoint", "fail",
+              witness="circles 0 and 1 are not disjoint"),
+        Check("circles bound a common region", "fail")])
     monkeypatch.setattr(basic_groups, "verify_pairing",
                         lambda system, tol: failing)
     with pytest.raises(PairingConstructionError) as err:

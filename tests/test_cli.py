@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vskit import cli
 from vskit.cli import SceneError, construct, parse_scene, run, scene_text
 from vskit.combination import CombinationError
 
@@ -273,6 +274,18 @@ class TestCommands:
         path = scene_file("leaf L\n  type T9\n")
         assert run("build", [path]) == 2
         assert "line 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_errors_exit_1_without_traceback(
+            self, scene_file, capsys, monkeypatch, error):
+        def exhausted(ns):
+            raise error()
+        monkeypatch.setitem(cli._COMMANDS, "build", exhausted)
+        assert run("build", [scene_file(CHAIN3)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"FAIL: input too large to process ({error.__name__})\n")
+        assert captured.err == ""
 
     def test_deterministic_stdout(self, scene_file, capsys):
         path = scene_file(CHAIN3)

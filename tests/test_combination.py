@@ -136,7 +136,7 @@ def test_amalgam_identification_relation_is_recorded():
         (("c.U", 1), ("c.V", 1), ("c.U", -1), ("c.V", -1)),
         (("b.V", 1), ("c.U", -1)))
     assert [report.name for cert in node_certificates(node)
-            for report in cert.reports] == [
+            for report in cert.checks] == [
         "B1, B2 complementary discs with common boundary",
         "amalgamated generators agree (matrices, order 2)",
         "B1 precise invariance under <b.V> in left factor",
@@ -204,7 +204,7 @@ def test_hnn_extension_of_rotation_group():
     assert node.edge_order == 3
     assert node.edge_is_full_base
     assert node.certificate.ok
-    assert all(r.status == "pass" for r in node.certificate.reports)
+    assert all(r.status == "pass" for r in node.certificate.checks)
     assert euler_characteristic(node) == 0
     assert is_identity_word(
         node, [("e.A", 1), ("e.E", 1), ("e.A", -1), ("e.E", -1)])
@@ -316,7 +316,7 @@ def test_placement_chain_six_leaf_mix():
         node = chain.append(g)
     assert chain.right_edge == 60.0
     assert euler_characteristic(node) == Fraction(-143, 28)
-    reports = [r for cert in node_certificates(node) for r in cert.reports]
+    reports = [r for cert in node_certificates(node) for r in cert.checks]
     assert len(reports) == 15
     assert all(r.ok for r in reports)
     # wide assemblies hit the enumeration budget; the certificate says so
@@ -333,7 +333,7 @@ def test_placement_chain_uncertified_mode():
 def test_placement_respects_rotation_groups():
     node = chain_leaves([make_basic("T1", n=24, prefix="r1."),
                          make_basic("T1", n=36, prefix="r2.")])
-    reports = [r for cert in node_certificates(node) for r in cert.reports]
+    reports = [r for cert in node_certificates(node) for r in cert.checks]
     assert all(r.ok for r in reports)
     assert euler_characteristic(node) == \
         Fraction(1, 24) + Fraction(1, 36) - 1
