@@ -102,6 +102,42 @@ root P
 """
 
 
+# perfbench's slowest certify scene: two T4s and two T1s auto-placed; the
+# last left-factor sweep is cut by the enumeration budget at depth 4
+CHAIN4 = """\
+leaf h1
+  type T4
+  n 2
+  lam 4
+
+leaf h2
+  type T4
+  n 2
+  lam 4
+
+leaf e1
+  type T1
+  n 3
+
+leaf e2
+  type T1
+  n 3
+
+product P
+  parts h1 h2 e1 e2
+
+root P
+
+theta
+  target 12
+  image h1.A 1
+  image h1.E 6
+  image h2.A 1
+  image h2.E 6
+  image e1.E 4
+  image e2.E 4
+"""
+
 @pytest.fixture
 def scene_file(tmp_path):
     def write(text, name="scene.vsk"):
@@ -361,6 +397,64 @@ class TestGoldenOutput:
             "pairing\n"
             "  pair 0 0 1/4 0 0 4 4 0 0 1/4\n"
             "  pair 17/15 0 8/15 -17/15 0 6/5 17/8 -15/8 -15/8 17/8\n")
+
+    def test_build_chain4_stdout(self, scene_file, capsys):
+        assert run("build", [scene_file(CHAIN4)]) == 0
+        assert capsys.readouterr().out == (
+            "assembled group\n"
+            "  generators: h1.A h1.E h2.A h2.E e1.E e2.E\n"
+            "  relations: 6\n"
+            "    h1.E^2 = 1\n"
+            "    h1.E * h1.A * h1.E^-1 * h1.A^-1 = 1\n"
+            "    h2.E^2 = 1\n"
+            "    h2.E * h2.A * h2.E^-1 * h2.A^-1 = 1\n"
+            "    e1.E^3 = 1\n"
+            "    e2.E^3 = 1\n"
+            "  certificates: 9 checks\n"
+            "    [exact-pass] B1, B2 complementary discs with common "
+            "boundary\n"
+            "    [pass to depth 6] B1 precise invariance in left factor\n"
+            "    [pass to depth 6] B2 precise invariance in right factor\n"
+            "    [exact-pass] B1, B2 complementary discs with common "
+            "boundary\n"
+            "    [pass to depth 6] B1 precise invariance in left factor\n"
+            "    [exact-pass] B2 precise invariance in right factor\n"
+            "    [exact-pass] B1, B2 complementary discs with common "
+            "boundary\n"
+            "    [pass to depth 4] B1 precise invariance in left factor\n"
+            "    [exact-pass] B2 precise invariance in right factor\n"
+            "# normalized scene\n"
+            "leaf h1\n"
+            "  type T4\n"
+            "  n 2\n"
+            "  lam 4\n"
+            "\n"
+            "leaf h2\n"
+            "  type T4\n"
+            "  n 2\n"
+            "  lam 4\n"
+            "\n"
+            "leaf e1\n"
+            "  type T1\n"
+            "  n 3\n"
+            "\n"
+            "leaf e2\n"
+            "  type T1\n"
+            "  n 3\n"
+            "\n"
+            "product P\n"
+            "  parts h1 h2 e1 e2\n"
+            "\n"
+            "theta\n"
+            "  target 12\n"
+            "  image h1.A 1\n"
+            "  image h1.E 6\n"
+            "  image h2.A 1\n"
+            "  image h2.E 6\n"
+            "  image e1.E 4\n"
+            "  image e2.E 4\n"
+            "\n"
+            "root P\n")
 
     def test_combination_error_message_is_the_failing_line(self):
         with pytest.raises(CombinationError) as info:

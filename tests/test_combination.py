@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from vskit.combination import (CombinationError, Leaf, GroupData,
                                station_frame, station_boundary,
                                PlacementChain, chain_leaves)
 from vskit.group_algebra import (euler_characteristic, is_identity_word,
-                                 symbolic_model, tree_leaves)
+                                 normal_form, symbolic_model, tree_leaves)
 from vskit.basic_groups import make_b3, make_basic
 
 
@@ -365,6 +366,49 @@ def test_assembled_words_are_faithful_to_depth_three():
             seen += 1
     assert seen > 100
 
+
+def test_normal_forms_agree_with_faithful_matrices():
+    # the combination theorem makes a certified chain the free product of
+    # its leaves, so its matrices represent it faithfully: a word's normal
+    # form is the identity exactly when its matrix is +-I
+    groups = [make_basic("T4", n=2, lam=4.0, prefix="a."),
+              make_basic("T1", n=3, prefix="b."),
+              make_basic("T2", lam=4.0, prefix="c."),
+              make_basic("T1", n=2, prefix="d.")]
+    node = chain_leaves(groups)
+    data = GroupData.from_node(node)
+    model = data.model
+    names = list(data.matrices)
+    rng = random.Random(7)
+
+    def word(length):
+        return tuple((rng.choice(names), rng.choice((1, -1)))
+                     for _ in range(length))
+
+    def inverse(w):
+        return tuple((name, -exp) for name, exp in reversed(w))
+
+    relators = [(("a.E", 2),), (("b.E", 3),), (("b.E", -3),),
+                (("d.E", 2),),
+                (("a.E", 1), ("a.A", 1), ("a.E", -1), ("a.A", -1))]
+    words = []
+    for _ in range(60):
+        w = word(rng.randint(1, 4))
+        words.append(w + inverse(w))
+        for rel in relators:
+            u = word(rng.randint(0, 2))
+            words.append(u + rel + inverse(u))
+    words.extend(word(rng.randint(1, 8)) for _ in range(400))
+    identities = 0
+    for w in words:
+        assert sum(abs(exp) for _, exp in w) <= 8
+        trivial = model.is_identity(normal_form(node, w))
+        # entries reach ~300, so identity words land within 3e-7 of
+        # +-I; no other word here comes within 0.7 of it
+        assert trivial == is_identity_map(data.word_matrix(w), 1e-5), \
+            format_word(w)
+        identities += trivial
+    assert identities >= 360 and len(words) - identities >= 350
 
 def test_enumeration_budget_reports_honest_depth():
     groups = [make_basic("T3", prefix="a."),

@@ -1,6 +1,7 @@
 """Symbolic models: normal forms, Euler characteristics, kernel ranks."""
 
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -11,8 +12,10 @@ from vskit.group_algebra import (FiniteAbelianGroup, LeafSymbolic,
                                  euler_characteristic, normal_form,
                                  is_identity_word, validate_theta,
                                  kernel_rank, symbolic_model)
-from vskit.combination import Leaf, uncertified_free_product
-from vskit.basic_groups import make_basic
+from vskit.combination import (FreeProductNode, GroupData, Leaf,
+                               format_word, resolve_generator_word,
+                               uncertified_free_product)
+from vskit.basic_groups import make_b3, make_basic
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +301,58 @@ def test_symbolic_model_of_composite_leaf_expands():
     assert is_identity_word(composite.tree, [("a.U", 1), ("b.U", -1)])
     report = kernel_rank(composite.tree, composite.default_theta())
     assert report.ok and report.kernel_rank == 1
+
+
+# ---------------------------------------------------------------------------
+# enumeration order: the shortest word BFS picks for each element
+
+
+def _shortest_words(tree, depth=4):
+    listed = enumerate_elements(symbolic_model(tree), depth).elements
+    return [format_word(word) for word in listed.values()]
+
+
+def _digest(words):
+    return hashlib.sha256("\n".join(words).encode()).hexdigest()
+
+
+def test_chain_enumeration_order_is_pinned():
+    # Z_2 * Z_3 * Z_2, nested either way: the same words in the same order
+    a, b, c = (Leaf(make_basic("T1", n=n, prefix=p))
+               for n, p in ((2, "a."), (3, "b."), (2, "c.")))
+    for tree in (uncertified_free_product(uncertified_free_product(a, b), c),
+                 uncertified_free_product(a, uncertified_free_product(b, c))):
+        words = _shortest_words(tree)
+        assert len(words) == 107
+        assert words[:20] == [
+            "<identity>", "a.E", "b.E", "b.E^-1", "c.E",
+            "a.E * b.E", "a.E * b.E^-1", "a.E * c.E", "b.E * a.E",
+            "b.E * c.E", "b.E^-1 * a.E", "b.E^-1 * c.E", "c.E * a.E",
+            "c.E * b.E", "c.E * b.E^-1", "a.E * b.E * a.E",
+            "a.E * b.E * c.E", "a.E * b.E^-1 * a.E", "a.E * b.E^-1 * c.E",
+            "a.E * c.E * a.E"]
+        assert _digest(words) == ("f8cc0bd46623dc43f0f19fe319c0a988"
+                                  "e5506eaa4164ffecfa5e21156b32602d")
+
+
+def test_amalgam_enumeration_order_is_pinned():
+    b3 = make_b3([make_basic("T3", prefix="a."),
+                  make_basic("T3", prefix="b.")], [("a.U", "b.U")])
+    assert _shortest_words(Leaf(b3)) == [
+        "<identity>", "a.U", "a.V", "b.V", "a.U * a.V", "a.U * b.V",
+        "a.V * b.V", "b.V * a.V", "a.U * a.V * b.V", "a.U * b.V * a.V",
+        "a.V * b.V * a.V", "b.V * a.V * b.V", "a.U * a.V * b.V * a.V",
+        "a.U * b.V * a.V * b.V", "a.V * b.V * a.V * b.V",
+        "b.V * a.V * b.V * a.V"]
+    # an amalgam whose left factor is itself a free product
+    left = uncertified_free_product(Leaf(make_basic("T3", prefix="a.")),
+                                    Leaf(make_basic("T1", n=3, prefix="b.")))
+    right = Leaf(make_basic("T3", prefix="c."))
+    elements = (resolve_generator_word(GroupData.from_node(left), "a.U")[2],
+                resolve_generator_word(GroupData.from_node(right), "c.U")[2])
+    node = FreeProductNode(left, right, ("a.U", "c.U"), 2, elements,
+                           ((("a.U", 1),), (("c.U", 1),)), None)
+    words = _shortest_words(node)
+    assert len(words) == 228 and "c.U" not in words
+    assert _digest(words) == ("9f4303b3c9dd5250757bf55159b91302"
+                              "220711ac8f0e320622b25e21c164b59b")
