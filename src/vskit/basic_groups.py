@@ -169,10 +169,6 @@ class BasicGroup:
     def generator_names(self):
         return tuple(self.gens)
 
-    @property
-    def schottky_generators(self):
-        return {name: self.gens[name] for name in self.schottky_names}
-
     def quotient_description(self):
         return list(self.quotient.orders)
 

@@ -207,6 +207,9 @@ def _parse_product(name, fields, line):
         lineno, tokens = got["parts"]
         if len(tokens) < 2:
             raise SceneError("parts needs at least two names", lineno)
+        for i, token in enumerate(tokens):
+            if token in tokens[:i]:
+                raise SceneError(f"part {token!r} is listed twice", lineno)
         return {"parts": tuple(tokens)}
     missing = [k for k in ("left", "right", "wall") if k not in got]
     if missing:

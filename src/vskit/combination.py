@@ -602,8 +602,10 @@ class PlacementChain:
     Each appended group is conjugated into its own station; stations are
     separated by vertical lines at gap midpoints and joined by trivial
     free products.  When a combination certificate fails, the gap doubles
-    (up to max_retries) before giving up.  certify=False skips all
-    hypothesis checks and never retries (bulk symbolic work).
+    (up to max_retries) before giving up; any other CombinationError, such
+    as generator names shared with the chain, is raised at once.
+    certify=False skips all hypothesis checks and never retries (bulk
+    symbolic work).
     """
 
     def __init__(self, spacing=3.0, depth=6, certify=True, pull=8.0,
@@ -649,6 +651,8 @@ class PlacementChain:
                 node = free_product(self.node, Leaf(placed), None,
                                     B1, B1.complement(), self.depth)
             except CombinationError as err:
+                if err.report is None:
+                    raise       # not a failed check: no gap can mend it
                 last_error = err
                 continue
             self.node = node

@@ -3,10 +3,13 @@
 Groups are modeled structurally.  A leaf group is a semidirect product
 F_r x| T of a free group by a finite abelian group acting by inverting
 some free generators; its elements (w, t) are already normal forms.
-Internal nodes are free products (possibly amalgamated over a shared
-involution) and HNN extensions; free-product elements use the classical
-alternating coset-representative normal form, so identity testing and
-deduplication are exact, not numerical.
+Internal nodes are free products and HNN extensions.  A run of
+trivial-amalgam products is one free product over all its factors, as
+the paper writes K: its elements are alternating (factor index,
+syllable) sequences.  A product amalgamated over a shared involution
+stays binary and uses coset representatives.  Either way the normal
+form is canonical, so identity testing and deduplication are exact, not
+numerical.
 
 Ranks of kernels of quotient maps onto finite abelian groups come from
 the Euler characteristic: chi is additive over free products (minus the
@@ -100,9 +103,6 @@ class FiniteAbelianGroup:
     def generated_by(self, generators):
         return len(self.subgroup(generators)) == self.order
 
-    def is_trivial(self):
-        return not self.orders
-
     def label(self):
         if not self.orders:
             return "trivial"
@@ -172,7 +172,7 @@ class LeafSymbolic:
         return ((), self.torsion.zero())
 
     def is_identity(self, x):
-        return x == self.identity()
+        return not x[0] and not any(x[1])
 
     def signs(self, t):
         """Per-free-generator sign of the action of torsion element t."""
@@ -191,8 +191,9 @@ class LeafSymbolic:
     def multiply(self, x, y):
         w1, t1 = x
         w2, t2 = y
-        return (reduce_word(w1 + self._twist(t1, w2)),
-                self.torsion.add(t1, t2))
+        if w2:
+            w1 = reduce_word(w1 + self._twist(t1, w2))
+        return (w1, self.torsion.add(t1, t2))
 
     def inverse(self, x):
         w, t = x
@@ -211,12 +212,6 @@ class LeafSymbolic:
             out[name] = ((), tuple(t))
         return out
 
-    def torsion_element(self, t):
-        return ((), self.torsion.element(t))
-
-    def is_torsion(self, x):
-        return not x[0]
-
     def is_finite(self):
         return self.rank == 0
 
@@ -226,25 +221,31 @@ class LeafSymbolic:
 
 
 # ---------------------------------------------------------------------------
-# free products with an optional Z2 amalgam
+# free products: n factors, or two amalgamated over an involution
 
 
 class FreeProductModel:
-    """Normal forms in K1 * K2, optionally amalgamated over an involution.
+    """Normal forms in K_1 * ... * K_k, or in K_1 *_H K_2 with H of order 2.
 
-    An element is (syllables, pend): syllables alternate sides, each one a
-    canonical coset representative of child/H (plain nontrivial elements
-    when the amalgam is trivial), and pend marks a trailing amalgam factor.
-    Coset representatives are the key-minimal choice among {g, g*u}, which
-    makes the form canonical by the amalgamated-product normal form.
+    An element is (syllables, pend).  syllables is a tuple of (factor
+    index, syllable) pairs, each syllable a nontrivial element of its
+    factor and neighbouring indices distinct: the free-product normal
+    form (R. Lyndon and P. Schupp, Combinatorial Group Theory, IV.1).
+    Multiplying by a generator only touches the last syllable, so a
+    chain of k leaves is one model over k factors, not k nested ones.
+    An amalgamated product has two factors; each syllable is the smaller
+    of {g, g*u}, the canonical representative of its coset of H = <u>,
+    and pend marks a trailing factor u (J.-P. Serre, Trees, I.1).
+    Without an amalgam pend is always 0.
     """
 
-    def __init__(self, left, right, amalgam=None):
-        self.children = (left, right)
+    def __init__(self, factors, amalgam=None):
+        self.children = tuple(factors)
         self.amalgam = amalgam        # None or (u_left, u_right)
         if amalgam is not None:
-            for side, u in enumerate(amalgam):
-                child = self.children[side]
+            if len(self.children) != 2:
+                raise ValueError("an amalgamated product has two factors")
+            for child, u in zip(self.children, amalgam):
                 if child.is_identity(u):
                     raise ValueError("amalgam element must be nontrivial")
                 if not child.is_identity(child.multiply(u, u)):
@@ -256,54 +257,43 @@ class FreeProductModel:
     def is_identity(self, x):
         return x == ((), 0)
 
-    def _coset_rep(self, side, g):
-        """Decompose g = r * u^h with r the key-minimal representative."""
-        u = self.amalgam[side]
-        alt = self.children[side].multiply(g, u)
-        if _element_key(alt) < _element_key(g):
-            return alt, 1
-        return g, 0
-
-    def _fold(self, stream):
-        out = []
-        pend = 0
+    def _fold(self, out, pend, stream):
+        """Append (index, element) syllables to the normal form (out, pend)."""
+        children = self.children
+        amalgam = self.amalgam
         for side, g in stream:
-            child = self.children[side]
+            child = children[side]
             if pend:
-                g = child.multiply(self.amalgam[side], g)
+                g = child.multiply(amalgam[side], g)
                 pend = 0
             if out and out[-1][0] == side:
                 g = child.multiply(out.pop()[1], g)
             if child.is_identity(g):
                 continue
-            if self.amalgam is not None:
-                g, pend = self._coset_rep(side, g)
-                if child.is_identity(g):
-                    continue
+            if amalgam is not None:
+                alt = child.multiply(g, amalgam[side])
+                if alt < g:
+                    g, pend = alt, 1
+                    if child.is_identity(g):
+                        continue
             out.append((side, g))
         return (tuple(out), pend)
 
-    def _stream(self, x):
-        syllables, pend = x
-        for s in syllables:
-            yield s
-        if pend:
-            yield (0, self.amalgam[0])
-
     def multiply(self, x, y):
-        return self._fold(itertools.chain(self._stream(x), self._stream(y)))
+        syllables, pend = y
+        if pend:
+            syllables += ((0, self.amalgam[0]),)
+        return self._fold(list(x[0]), x[1], syllables)
 
     def inverse(self, x):
         syllables, pend = x
-        stream = []
-        if pend:
-            stream.append((0, self.amalgam[0]))
+        stream = [(0, self.amalgam[0])] if pend else []
         for side, g in reversed(syllables):
             stream.append((side, self.children[side].inverse(g)))
-        return self._fold(stream)
+        return self._fold([], 0, stream)
 
     def embed(self, side, g):
-        return self._fold([(side, g)])
+        return self._fold([], 0, ((side, g),))
 
     def generators(self):
         out = {}
@@ -316,7 +306,7 @@ class FreeProductModel:
 
     def __repr__(self):
         kind = "amalgamated" if self.amalgam else "free"
-        return f"FreeProductModel({kind})"
+        return f"FreeProductModel({kind}, {len(self.children)} factors)"
 
 
 class HnnModel:
@@ -372,13 +362,6 @@ class HnnModel:
         return f"HnnModel(shape={self.shape})"
 
 
-def _element_key(x):
-    """A total order key for nested canonical elements."""
-    if isinstance(x, tuple):
-        return (1, len(x), tuple(_element_key(v) for v in x))
-    return (0, 0, x)
-
-
 # ---------------------------------------------------------------------------
 # construction-tree walks
 
@@ -416,25 +399,36 @@ def walk_tree(tree):
 def symbolic_model(tree):
     """Build the group model for a construction tree.
 
-    Leaves carry their own LeafSymbolic; product nodes pair the child
+    Leaves carry their own LeafSymbolic.  Each run of trivial-amalgam
+    products, nested left or right, becomes one FreeProductModel over its
+    factors in leaf order; an amalgamated product pairs its two child
     models, with the amalgam involution embedded on each side; HNN nodes
     use the covered shapes.
     """
-    models = []
+    def closed(value):
+        # a list on the stack is a run of free factors still open
+        return FreeProductModel(value) if isinstance(value, list) else value
+
+    values = []
     for node in walk_tree(tree):
         if node.kind == "leaf":
-            models.append(node.group.symbolic)
+            values.append(node.group.symbolic)
         elif node.kind == "product":
-            right = models.pop()
-            left = models.pop()
-            models.append(FreeProductModel(left, right,
-                                           node.amalgam_elements))
+            right = values.pop()
+            left = values.pop()
+            if node.amalgam_elements is None:
+                run = left if isinstance(left, list) else [left]
+                run.extend(right if isinstance(right, list) else (right,))
+                values.append(run)
+            else:
+                values.append(FreeProductModel((closed(left), closed(right)),
+                                               node.amalgam_elements))
         elif node.base is None:
-            models.append(HnnModel(None, node.stable_name, False))
+            values.append(HnnModel(None, node.stable_name, False))
         else:
-            models.append(HnnModel(models.pop(), node.stable_name,
+            values.append(HnnModel(closed(values.pop()), node.stable_name,
                                    node.edge_is_full_base))
-    return models.pop()
+    return closed(values.pop())
 
 
 def tree_leaves(tree):
@@ -538,8 +532,8 @@ def enumerate_elements(model, depth, max_count=None):
             for letter, g in steps:
                 y = model.multiply(x, g)
                 if y not in elements:
-                    elements[y] = word + (letter,)
-                    nxt.append((y, word + (letter,)))
+                    elements[y] = longer = word + (letter,)
+                    nxt.append((y, longer))
         depth_completed = level
         if not nxt:
             exhausted = True

@@ -191,6 +191,15 @@ class TestParsing:
             with pytest.raises(SceneError, match=fragment):
                 parse_scene(text)
 
+    def test_repeated_part_is_a_scene_error(self, scene_file, capsys):
+        text = ("leaf Q0\n  type T1\n  n 2\n\nleaf Q1\n  type T1\n  n 3\n\n"
+                "product P\n  parts Q0 Q0 Q1\n\nroot P\n")
+        with pytest.raises(SceneError, match="part 'Q0' is listed twice"):
+            parse_scene(text)
+        assert run("build", [scene_file(text)]) == 2
+        assert capsys.readouterr().out == (
+            "scene error: line 10: part 'Q0' is listed twice\n")
+
     def test_theta_arity_message(self):
         with pytest.raises(SceneError, match="image takes a name and 2"):
             parse_scene("theta\n  target 2 2\n  image X 1\n")

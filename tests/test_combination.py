@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from vskit import combination
 from vskit.moebius import MoebiusMap, INF, is_identity_map, projectively_equal
 from vskit.sphere_geometry import SphereCircle, SphereDisc, disc_image
 from vskit.combination import (CombinationError, Leaf, GroupData,
@@ -303,6 +304,22 @@ def test_placement_chain_positions_and_retry():
     assert chain.right_edge == 12.0
     assert chain.node.certificate.ok
 
+
+def test_placement_chain_raises_shared_names_at_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return free_product(*args, **kwargs)
+
+    monkeypatch.setattr(combination, "free_product", counted)
+    group = make_basic("T1", n=3, prefix="q.")
+    chain = PlacementChain()
+    chain.append(group)
+    with pytest.raises(CombinationError) as info:
+        chain.append(group)
+    assert str(info.value) == "generator names shared across factors: ['q.E']"
+    assert len(calls) == 1
 
 def test_placement_chain_six_leaf_mix():
     groups = [make_basic("T2", lam=2.0, prefix="p1."),

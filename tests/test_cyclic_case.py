@@ -6,10 +6,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from vskit.cli import _tree_signature
-from vskit.combination import CombinationError, assemble, node_certificates
+from vskit.combination import (CombinationError, GroupData, assemble,
+                               node_certificates)
 from vskit.cyclic_case import (CyclicSignature, build_cyclic, describe,
                                enumerate_signatures, isomorphism_type,
                                kernel_genus)
+from vskit.group_algebra import (FreeProductModel, enumerate_elements,
+                                 normal_form, symbolic_model)
 from vskit.limitset import sample
 from vskit.moebius import classify, projectively_equal
 
@@ -264,3 +267,21 @@ class TestBuild:
         with pytest.raises(ValueError,
                            match="product node carries no certificate"):
             sample(built.tree)
+
+    def test_long_chain_normal_forms_without_recursion(self):
+        # the 5001-leaf chain is one free product over 5001 factors, so
+        # normal forms and depth-1 listings never nest 5000 models deep
+        tree = build_cyclic(CyclicSignature(2, a=1, c=5000),
+                            certify=False).tree
+        model = symbolic_model(tree)
+        assert isinstance(model, FreeProductModel)
+        assert len(model.children) == 5001
+        x = normal_form(tree, ["t1.L", "g1.E", "g5000.E", ("g5000.E", -1)])
+        assert x == model.multiply(model.generators()["t1.L"],
+                                   model.generators()["g1.E"])
+        assert model.is_identity(
+            normal_form(tree, ["g5000.E", "g1.E", "g1.E", "g5000.E"]))
+        # identity, t1.L and its inverse, one element per involution
+        assert len(enumerate_elements(model, 1).elements) == 5003
+        listed = GroupData.from_node(tree).elements(1)
+        assert len(listed.triples) == 5003 and not listed.exhausted

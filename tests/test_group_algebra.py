@@ -126,7 +126,7 @@ def test_amalgam_identifies_involutions():
     left, right = _two_t3_leaves()
     u1 = left.generators()["a.U"]
     u2 = right.generators()["b.U"]
-    model = FreeProductModel(left, right, (u1, u2))
+    model = FreeProductModel((left, right), (u1, u2))
     g = model.generators()
     assert g["a.U"] == g["b.U"]
     # sliding the amalgam across a syllable keeps the normal form stable:
@@ -140,7 +140,7 @@ def test_amalgam_identifies_involutions():
 
 def test_plain_free_product_keeps_factors_apart():
     left, right = _two_t3_leaves()
-    model = FreeProductModel(left, right)
+    model = FreeProductModel((left, right))
     g = model.generators()
     assert g["a.U"] != g["b.U"]
     w = model.multiply(g["a.U"], g["b.U"])
@@ -153,7 +153,7 @@ def test_amalgamated_product_enumeration_counts():
     H2 = FiniteAbelianGroup((2,))
     left = LeafSymbolic((), H2, ("x",), ((),))
     right = LeafSymbolic((), H2, ("y",), ((),))
-    model = FreeProductModel(left, right)
+    model = FreeProductModel((left, right))
     result = enumerate_elements(model, 5)
     # identity plus alternating words of each length 1..5: 1 + 2k
     assert len(result.elements) == 11
