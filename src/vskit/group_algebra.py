@@ -271,6 +271,8 @@ class FreeProductModel:
             if child.is_identity(g):
                 continue
             if amalgam is not None:
+                # elements of one factor are tuples of one shape, so plain
+                # tuple order picks the same member of each coset every time
                 alt = child.multiply(g, amalgam[side])
                 if alt < g:
                     g, pend = alt, 1
