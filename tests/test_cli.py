@@ -1,6 +1,7 @@
 """Scene parsing and command-line behavior."""
 
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -464,6 +465,25 @@ class TestGoldenOutput:
             "  image e2.E 4\n"
             "\n"
             "root P\n")
+
+    @pytest.mark.parametrize("text,expected,svg_sha256", [
+        (PAIR_OK, "sampled depth 4: 160 discs, 132 points\n"
+                  "depth 4: 156 nested discs checked, 0 violations\n"
+                  "max terminal spherical diameter 2.792390e-03\n"
+                  "diameters non-increasing: yes\n"
+                  "wrote OUT\n",
+         "b7b537673e60b856cedb018b078e4eaa3b438cfa93f94cc3c93025af7933335d"),
+        (CHAIN3, "sampled depth 4: 0 discs, 288 points\n"
+                 "wrote OUT\n",
+         "0e79b3b48be86a997635456ea8a24b1309503b7d55cc3191b70ae03031037794"),
+    ], ids=["PAIR_OK", "CHAIN3"])
+    def test_limitset_stdout_and_image(self, scene_file, tmp_path, capsys,
+                                       text, expected, svg_sha256):
+        out = tmp_path / "sample.svg"
+        assert run("limitset", [scene_file(text), "--ls-depth", "4",
+                                "--out", str(out)]) == 0
+        assert capsys.readouterr().out.replace(str(out), "OUT") == expected
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == svg_sha256
 
     def test_combination_error_message_is_the_failing_line(self):
         with pytest.raises(CombinationError) as info:

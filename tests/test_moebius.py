@@ -7,6 +7,8 @@ anticonformal families built on top of them.
 """
 
 import cmath
+import importlib
+import inspect
 import math
 import random
 
@@ -302,3 +304,40 @@ class TestTrustedProducts:
             scale = max(abs(e) for e in m.entries)
             assert projectively_equal(m, MoebiusMap(*m.entries),
                                       tol=1e-6 * scale)
+
+
+class TestTolerancePolicy:
+    # moebius.TOL decides every geometric question; only these take a
+    # tolerance (disc_contains until its nesting test is rewritten)
+    KEPT = {("moebius.projectively_equal", "tol"),
+            ("moebius.is_identity_map", "tol"),
+            ("moebius.classify", "tol"),
+            ("sphere_geometry.disc_contains", "tol")}
+    MODULES = ("moebius", "sphere_geometry", "schottky", "basic_groups",
+               "combination", "group_algebra", "cyclic_case", "limitset",
+               "cli")
+
+    def _callables(self):
+        for name in self.MODULES:
+            module = importlib.import_module(f"vskit.{name}")
+            for attr, value in vars(module).items():
+                if attr.startswith("_") or \
+                        getattr(value, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(value):
+                    yield f"{name}.{attr}", value
+                elif inspect.isclass(value):
+                    for meth, fn in vars(value).items():
+                        if isinstance(fn, (classmethod, staticmethod)):
+                            fn = fn.__func__
+                        if inspect.isfunction(fn) and (
+                                not meth.startswith("_")
+                                or meth == "__init__"):
+                            yield f"{name}.{attr}.{meth}", fn
+
+    def test_only_the_kept_predicates_take_a_tolerance(self):
+        found = {(qualname, param)
+                 for qualname, fn in self._callables()
+                 for param in inspect.signature(fn).parameters
+                 if param in ("tol", "slack")}
+        assert found == self.KEPT
