@@ -22,14 +22,15 @@ import cmath
 import math
 
 from .moebius import (MoebiusMap, classify, projectively_equal,
-                      is_identity_map, fixed_points, INF, TOL)
+                      is_identity_map, fixed_points, INF)
 from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
                             TRIVIAL_GROUP, euler_characteristic,
                             symbolic_model)
 from . import combination
-from .combination import Leaf, free_product, CombinationError
+from .combination import (Leaf, free_product, CombinationError,
+                          word_names)
 
 BASIC_TYPES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
 
@@ -268,7 +269,7 @@ class BasicGroup:
                         _apollonius_circle(lam3, imaginary=True)))
         return out
 
-    def pairing_system(self, verify=True, tol=TOL):
+    def pairing_system(self, verify=True):
         """A verified circle pairing for the Schottky generators.
 
         Uses the concentric family: |z| = lambda1^(-1/2) paired with
@@ -285,7 +286,7 @@ class BasicGroup:
             pairs.append((circle, map_circle(m, circle), m))
         system = PairingSystem(pairs)
         if verify:
-            report = verify_pairing(system, tol=tol)
+            report = verify_pairing(system)
             if not report.ok:
                 raise PairingConstructionError(
                     "pairing verification failed: "
@@ -486,12 +487,8 @@ def _basis_change(H, a, b):
     return change
 
 
-def _glue_names(spec):
-    return (spec,) if isinstance(spec, str) else tuple(spec)
-
-
 def _glue_display(spec):
-    return "*".join(_glue_names(spec))
+    return "*".join(word_names(spec))
 
 
 def make_b3(components, gluings, spacing=3.0, depth=6):
@@ -520,8 +517,8 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
 
     gluings = [g if isinstance(g, Gluing) else Gluing(*g) for g in gluings]
     for k in range(1, len(gluings)):
-        if set(_glue_names(gluings[k].left)) == \
-                set(_glue_names(gluings[k - 1].right)):
+        if set(word_names(gluings[k].left)) == \
+                set(word_names(gluings[k - 1].right)):
             raise BasicGroupError(
                 "consecutive amalgams must use distinct involutions "
                 f"({_glue_display(gluings[k].left)} reused)")
@@ -535,15 +532,15 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
     for k, glue in enumerate(gluings):
         right = components[k + 1]
         left_matrices = combination.collect_matrices(assembly)
-        for name in _glue_names(glue.left):
+        for name in word_names(glue.left):
             if name not in left_matrices:
                 raise BasicGroupError(f"unknown left generator {name!r}")
-        for name in _glue_names(glue.right):
+        for name in word_names(glue.right):
             if name not in right.gens:
                 raise BasicGroupError(f"unknown right generator {name!r}")
-        u_left = math.prod((left_matrices[n] for n in _glue_names(glue.left)),
+        u_left = math.prod((left_matrices[n] for n in word_names(glue.left)),
                            start=MoebiusMap.identity())
-        u_right = math.prod((right.gens[n] for n in _glue_names(glue.right)),
+        u_right = math.prod((right.gens[n] for n in word_names(glue.right)),
                             start=MoebiusMap.identity())
         if classify(u_left).order != 2:
             raise BasicGroupError(
@@ -593,10 +590,10 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
         # involutions agree in H
         right_theta = placed_right.default_theta()
         a = H.zero()
-        for name in _glue_names(glue.left):
+        for name in word_names(glue.left):
             a = H.add(a, images[name])
         b = H.zero()
-        for name in _glue_names(glue.right):
+        for name in word_names(glue.right):
             b = H.add(b, right_theta.images[name])
         change = _basis_change(H, a, b)
         for name, img in right_theta.images.items():

@@ -8,6 +8,7 @@ not a proof; a failed check always carries a concrete witness.
 """
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
 
 from .moebius import MoebiusMap, classify, projectively_equal, is_identity_map
@@ -32,6 +33,11 @@ def _require(check):
     if not check.ok:
         raise CombinationError(check.line(), check)
     return check
+
+
+def word_names(spec):
+    """A generator name, or a tuple of names, as a tuple of names."""
+    return (spec,) if isinstance(spec, str) else tuple(spec)
 
 
 def format_word(word):
@@ -109,8 +115,7 @@ def _tree_label(tree):
             if node.amalgam is None:
                 tag = "free product"
             else:
-                sides = ["*".join((s,) if isinstance(s, str) else s)
-                         for s in node.amalgam]
+                sides = ["*".join(word_names(s)) for s in node.amalgam]
                 tag = f"amalgam over {sides[0]} ~ {sides[1]}"
             right = labels.pop()
             left = labels.pop()
@@ -231,7 +236,7 @@ def resolve_generator_word(K, spec):
     two commuting involutions) can name a subgroup.
     """
     K = GroupData.coerce(K)
-    names = (spec,) if isinstance(spec, str) else tuple(spec)
+    names = word_names(spec)
     if not names:
         raise KeyError("empty generator word")
     gens = K.model.generators()
@@ -296,8 +301,7 @@ def _require_invariant(report, disc, X, H, data, depth, where):
 
 
 def _word_of_names(spec):
-    names = (spec,) if isinstance(spec, str) else tuple(spec)
-    return tuple((name, 1) for name in names)
+    return tuple((name, 1) for name in word_names(spec))
 
 
 def free_product(left, right, amalgam, B1, B2, depth=6):
@@ -431,7 +435,7 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
         power = m1
         generates = False
         for k in range(1, order + 1):
-            if _coprime(k, order) and projectively_equal(conj, power):
+            if math.gcd(k, order) == 1 and projectively_equal(conj, power):
                 generates = True
                 break
             power = power * m1
@@ -462,22 +466,14 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
         model = base_data.model
         if H1 is not None and getattr(model, "rank", None) == 0:
             full = _cyclic_closure(model, model.generators()[H1])
-            size = 1
-            for d in model.torsion.orders:
-                size *= d
             commutes = all(projectively_equal(A * m, m * A)
                            for m in base_data.matrices.values())
-            edge_is_full_base = (full is not None and len(full) == size
+            edge_is_full_base = (full is not None
+                                 and len(full) == model.torsion.order
                                  and commutes)
 
     return HnnNode(base_node, stable_name, A, edge_order,
                    edge_is_full_base, report)
-
-
-def _coprime(a, b):
-    while b:
-        a, b = b, a % b
-    return a == 1
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +563,11 @@ def assemble(tree):
 # ---------------------------------------------------------------------------
 # auto-placement helpers
 
+STATION_PULL = 8.0       # compactifying pole distance, in leaf scales
+PLACEMENT_RETRIES = 5    # gap doublings after a failed certificate
 
-def station_frame(x, scale, pull=8.0, angle=1.0):
+
+def station_frame(x, scale, pull=STATION_PULL, angle=1.0):
     """Moebius map carrying a leaf's standard geometry near the real point x.
 
     The leaf's fixed points and pairing circles live in |z| <= scale with
@@ -602,27 +601,25 @@ class PlacementChain:
     Each appended group is conjugated into its own station; stations are
     separated by vertical lines at gap midpoints and joined by trivial
     free products.  When a combination certificate fails, the gap doubles
-    (up to max_retries) before giving up; any other CombinationError, such
-    as generator names shared with the chain, is raised at once.
+    (up to PLACEMENT_RETRIES times) before giving up; any other
+    CombinationError, such as generator names shared with the chain, is
+    raised at once.
     certify=False skips all hypothesis checks and never retries (bulk
     symbolic work).
     """
 
-    def __init__(self, spacing=3.0, depth=6, certify=True, pull=8.0,
-                 max_retries=5):
+    def __init__(self, spacing=3.0, depth=6, certify=True):
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         self.spacing = float(spacing)
         self.depth = depth
         self.certify = certify
-        self.pull = pull
-        self.max_retries = max_retries
         self.node = None
         self.groups = []
         self.right_edge = 0.0
 
     def _placed(self, group, x, attempt=0):
-        frame = station_frame(x, group.standard_scale(), self.pull,
+        frame = station_frame(x, group.standard_scale(),
                               angle=1.0 + 0.7 * attempt)
         return group.conjugated_by(frame)
 
@@ -642,7 +639,7 @@ class PlacementChain:
             self.right_edge = x
             return self.node
         last_error = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(PLACEMENT_RETRIES + 1):
             gap = self.spacing * (2.0 ** attempt)
             x = self.right_edge + 2.0 * gap
             placed = self._placed(group, x, attempt)
@@ -661,7 +658,7 @@ class PlacementChain:
             return node
         raise CombinationError(
             f"placement failed for {getattr(group, 'label', group)!r} "
-            f"after {self.max_retries + 1} attempts: {last_error}")
+            f"after {PLACEMENT_RETRIES + 1} attempts: {last_error}")
 
 
 def chain_leaves(groups, spacing=3.0, depth=6, certify=True):

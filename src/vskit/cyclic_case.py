@@ -218,14 +218,19 @@ class CyclicConstruction:
         return kernel_rank(self.tree, self.theta)
 
 
-def _leaf_specs(sig, multiplier):
-    """(make_basic kwargs, cache key, theta images) per leaf, in order."""
+# the multiplier lambda of every loxodromic generator placed
+LEAF_MULTIPLIER = 4.0
+
+
+def _leaf_specs(sig):
+    """(make_basic kwargs, theta images) per leaf, in order."""
     specs = []
     for j in range(1, sig.a + 1):
-        specs.append((dict(btype="T2", lam=multiplier, prefix=f"t{j}."),
+        specs.append((dict(btype="T2", lam=LEAF_MULTIPLIER, prefix=f"t{j}."),
                       {f"t{j}.L": (1,)}))
     for j, m in enumerate(sig.m_orders, start=1):
-        specs.append((dict(btype="T4", n=m, lam=multiplier, prefix=f"h{j}."),
+        specs.append((dict(btype="T4", n=m, lam=LEAF_MULTIPLIER,
+                           prefix=f"h{j}."),
                       {f"h{j}.A": (1,), f"h{j}.E": (sig.n // m,)}))
     for j in range(1, sig.c + 1):
         specs.append((dict(btype="T1", n=2, prefix=f"g{j}."),
@@ -242,20 +247,19 @@ def _leaf_specs(sig, multiplier):
 _STATION_CACHE = {}
 
 
-def _station_leaf(kwargs, station, spacing, pull):
-    key = (tuple(sorted(kwargs.items())), station, spacing, pull)
+def _station_leaf(kwargs, station, spacing):
+    key = (tuple(sorted(kwargs.items())), station, spacing)
     node = _STATION_CACHE.get(key)
     if node is None:
         group = make_basic(**kwargs)
         frame = station_frame(2.0 * spacing * station,
-                              group.standard_scale(), pull)
+                              group.standard_scale())
         node = Leaf(group.conjugated_by(frame))
         _STATION_CACHE[key] = node
     return node
 
 
-def build_cyclic(sig, spacing=3.0, depth=6, certify=True, multiplier=4.0,
-                 pull=8.0):
+def build_cyclic(sig, spacing=3.0, depth=6, certify=True):
     """Realize the signature as a chain of basic groups along the real axis.
 
     Leaves are placed left to right: `a` loxodromic cyclic leaves (the
@@ -269,13 +273,13 @@ def build_cyclic(sig, spacing=3.0, depth=6, certify=True, multiplier=4.0,
     failure, then raises CombinationError; certify=False skips the
     hypothesis checks and shares interned leaves between builds.
     """
-    specs = _leaf_specs(sig, multiplier)
+    specs = _leaf_specs(sig)
     images = {}
     for _, leaf_images in specs:
         images.update(leaf_images)
     theta = QuotientMap(FiniteAbelianGroup((sig.n,)), images)
     if certify:
-        chain = PlacementChain(spacing=spacing, depth=depth, pull=pull)
+        chain = PlacementChain(spacing=spacing, depth=depth)
         for kwargs, _ in specs:
             chain.append(make_basic(**kwargs))
         return CyclicConstruction(sig, chain.node, theta,
@@ -283,7 +287,7 @@ def build_cyclic(sig, spacing=3.0, depth=6, certify=True, multiplier=4.0,
     node = None
     groups = []
     for station, (kwargs, _) in enumerate(specs):
-        leaf = _station_leaf(kwargs, station, spacing, pull)
+        leaf = _station_leaf(kwargs, station, spacing)
         node = leaf if node is None else uncertified_free_product(node, leaf)
         groups.append(leaf.group)
     return CyclicConstruction(sig, node, theta, tuple(groups))

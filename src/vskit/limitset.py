@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .combination import GroupData
 from .group_algebra import walk_tree
-from .moebius import INF, TOL, classify, fixed_points
+from .moebius import INF, classify, fixed_points
 from .schottky import (PairingSystem, count_reduced_words, letter_discs,
                        reduced_words)
 from .sphere_geometry import disc_contains, disc_image
@@ -23,6 +23,11 @@ __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
            "disconnectedness_report", "render", "export_lines"]
 
 CIRCLE_BUDGET = 10 ** 6
+# the nesting audit's slack, wider than moebius.TOL: inversive products of
+# deep discs (coefficients ~1/radius) lose digits to cancellation
+AUDIT_SLACK = 1e-7
+IMAGE_SIZE = 800.0      # nominal side of the SVG view box
+IMAGE_MARGIN = 0.06     # blank border, as a share of IMAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,18 @@ def _word_text(word):
     return " ".join(str(x) for x in word)
 
 
-def _collect_fixed_points(m, out, seen, tol):
-    if classify(m, tol).kind != "loxodromic":
+def _collect_fixed_points(m, out, seen):
+    if classify(m).kind != "loxodromic":
         return
-    for p in fixed_points(m, tol):
+    for p in fixed_points(m):
         key = "inf" if p is INF else (round(p.real, 9), round(p.imag, 9))
         if key not in seen:
             seen.add(key)
             out.append(p)
 
 
-def _sample_pairing(system, depth, require_verified, tol, budget):
-    discs_by_letter = letter_discs(system, tol, strict=require_verified)
+def _sample_pairing(system, depth, require_verified, budget):
+    discs_by_letter = letter_discs(system, strict=require_verified)
     genus = system.genus
     if genus == 0:
         return LimitSetSample(depth, (), (), ())
@@ -113,7 +118,7 @@ def _sample_pairing(system, depth, require_verified, tol, budget):
             maxdiam.append(0.0)
         discs.append((word, disc))
         maxdiam[-1] = max(maxdiam[-1], disc.circle.spherical_diameter())
-        _collect_fixed_points(m, points, seen, tol)
+        _collect_fixed_points(m, points, seen)
     return LimitSetSample(eff, tuple(discs), tuple(points), tuple(maxdiam))
 
 
@@ -129,15 +134,15 @@ def _uncertified_nodes(node):
     return problems
 
 
-def _sample_elements(data, depth, tol, budget):
+def _sample_elements(data, depth, budget):
     enum = data.elements(depth, max_count=budget)
     points, seen = [], set()
     for _, _, m in enum.triples:
-        _collect_fixed_points(m, points, seen, tol)
+        _collect_fixed_points(m, points, seen)
     return LimitSetSample(enum.depth_completed, (), tuple(points), ())
 
 
-def sample(source, depth=8, require_verified=True, tol=TOL,
+def sample(source, depth=8, require_verified=True,
            circle_budget=CIRCLE_BUDGET):
     """Approximate the limit set of a pairing system, leaf, or tree.
 
@@ -149,15 +154,15 @@ def sample(source, depth=8, require_verified=True, tol=TOL,
     require_verified=False.
     """
     if isinstance(source, PairingSystem):
-        return _sample_pairing(source, depth, require_verified, tol,
+        return _sample_pairing(source, depth, require_verified,
                                circle_budget)
     if hasattr(source, "pairing_system"):
         if source.schottky_names:
             system = source.pairing_system(verify=require_verified)
-            return _sample_pairing(system, depth, require_verified, tol,
+            return _sample_pairing(system, depth, require_verified,
                                    circle_budget)
         # finite leaf: no loxodromic pairing, fixed points only
-        return _sample_elements(GroupData.coerce(source), depth, tol,
+        return _sample_elements(GroupData.coerce(source), depth,
                                 circle_budget)
     node = source.tree if hasattr(source, "tree") else source
     if not hasattr(node, "kind"):
@@ -165,15 +170,15 @@ def sample(source, depth=8, require_verified=True, tol=TOL,
     problems = _uncertified_nodes(node)
     if require_verified and problems:
         raise ValueError("uncertified tree rejected: " + problems[0])
-    return _sample_elements(GroupData.from_node(node), depth, tol,
-                            circle_budget)
+    return _sample_elements(GroupData.from_node(node), depth, circle_budget)
 
 
-def disconnectedness_report(sample, slack=1e-7):
+def disconnectedness_report(sample):
     """Audit nesting of the disc tree and report terminal diameters.
 
     Every disc of a word of length >= 2 must sit inside its parent's
-    closed disc, up to the stated slack.  Point-only samples audit
+    closed disc, up to AUDIT_SLACK, and the largest diameter per depth
+    must not grow by more than AUDIT_SLACK.  Point-only samples audit
     vacuously.
     """
     if sample.depth < 2:
@@ -185,11 +190,11 @@ def disconnectedness_report(sample, slack=1e-7):
         if len(word) < 2:
             continue
         checked += 1
-        if not disc_contains(index[word[:-1]], disc, tol=slack):
+        if not disc_contains(index[word[:-1]], disc, tol=AUDIT_SLACK):
             violations.append((word, word[:-1]))
     diam = sample.max_diameter_by_depth
     terminal = diam[-1] if diam else 0.0
-    monotone = all(diam[k + 1] <= diam[k] + slack
+    monotone = all(diam[k + 1] <= diam[k] + AUDIT_SLACK
                    for k in range(len(diam) - 1))
     return DisconnectednessReport(sample.depth, checked, tuple(violations),
                                   terminal, monotone)
@@ -218,13 +223,13 @@ def _svg_header(width, height):
             f'viewBox="0 0 {width:.6f} {height:.6f}">')
 
 
-def render(sample, size=800.0, margin=0.06):
+def render(sample):
     """Deterministic vector image of a sample, as an SVG string.
 
     Discs are stroked circles colored by word length, fixed points are
     filled dots.  Boundary lines and the point at infinity have no
     planar image; they are tallied in a comment instead.  Identical
-    samples and parameters produce identical bytes.
+    samples produce identical bytes.
     """
     circles = []
     dots = []
@@ -242,7 +247,7 @@ def render(sample, size=800.0, margin=0.06):
         else:
             dots.append((p.real, p.imag))
     if not circles and not dots:
-        return "\n".join([_svg_header(size, size),
+        return "\n".join([_svg_header(IMAGE_SIZE, IMAGE_SIZE),
                           "  <!-- empty sample -->", "</svg>"]) + "\n"
     xs = [x - r for _, x, _, r in circles] + [x + r for _, x, _, r in
                                               circles] + [x for x, _ in dots]
@@ -250,8 +255,8 @@ def render(sample, size=800.0, margin=0.06):
                                               circles] + [y for _, y in dots]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-12)
-    scale = size * (1.0 - 2.0 * margin) / span
-    pad = size * margin
+    scale = IMAGE_SIZE * (1.0 - 2.0 * IMAGE_MARGIN) / span
+    pad = IMAGE_SIZE * IMAGE_MARGIN
 
     def sx(x):
         return (x - x0) * scale + pad
@@ -261,7 +266,7 @@ def render(sample, size=800.0, margin=0.06):
 
     width = (x1 - x0) * scale + 2.0 * pad
     height = (y1 - y0) * scale + 2.0 * pad
-    stroke = size / 640.0
+    stroke = IMAGE_SIZE / 640.0
     out = [_svg_header(width, height)]
     if skipped:
         out.append(f"  <!-- {skipped} unbounded elements omitted -->")
@@ -273,6 +278,6 @@ def render(sample, size=800.0, margin=0.06):
                    f'stroke-width="{stroke:.6f}"/>')
     for x, y in dots:
         out.append(f'  <circle cx="{sx(x):.6f}" cy="{sy(y):.6f}" '
-                   f'r="{size / 320.0:.6f}" fill="#1a1a1a"/>')
+                   f'r="{IMAGE_SIZE / 320.0:.6f}" fill="#1a1a1a"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

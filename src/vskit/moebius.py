@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-TOL = 1e-9                # default tolerance for projective comparisons
+TOL = 1e-9                # tolerance of every geometric decision in vskit
 PARABOLIC_BAND = 1e-12    # |tr^2 - 4| below this is treated as honestly parabolic
 MAX_ELLIPTIC_ORDER = 120  # search bound for elliptic orders
 
@@ -236,16 +236,16 @@ class MapClass:
     multiplier: complex | None = None
 
 
-def _elliptic_order(m, tol, max_order):
+def _elliptic_order(m, tol):
     power = m
-    for k in range(2, max_order + 1):
+    for k in range(2, MAX_ELLIPTIC_ORDER + 1):
         power = power * m
         if is_identity_map(power, tol):
             return k
     return None
 
 
-def classify(m, tol=TOL, max_order=MAX_ELLIPTIC_ORDER):
+def classify(m, tol=TOL):
     """Classify a map by its squared trace.
 
     Squared traces within PARABOLIC_BAND of 4 are called parabolic; the
@@ -253,7 +253,7 @@ def classify(m, tol=TOL, max_order=MAX_ELLIPTIC_ORDER):
     silently picking a class.
     """
     if not m.conformal:
-        return _classify_anticonformal(m, tol, max_order)
+        return _classify_anticonformal(m, tol)
     if is_identity_map(m, tol):
         return MapClass("identity")
     t = m.trace()
@@ -268,7 +268,7 @@ def classify(m, tol=TOL, max_order=MAX_ELLIPTIC_ORDER):
         lam = k * k
         if lam.imag < 0:
             lam = 1.0 / lam
-        order = _elliptic_order(m, tol, max_order)
+        order = _elliptic_order(m, tol)
         return MapClass("elliptic", order=order, multiplier=lam)
     k1 = (t + cmath.sqrt(t2 - 4.0)) / 2.0
     k2 = (t - cmath.sqrt(t2 - 4.0)) / 2.0
@@ -279,7 +279,7 @@ def classify(m, tol=TOL, max_order=MAX_ELLIPTIC_ORDER):
     return MapClass("loxodromic", multiplier=lam)
 
 
-def _classify_anticonformal(m, tol, max_order):
+def _classify_anticonformal(m, tol):
     square = m * m
     if is_identity_map(square, tol):
         # the sign of M * conj(M) distinguishes the two involutions:
@@ -287,7 +287,7 @@ def _classify_anticonformal(m, tol, max_order):
         if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
             return MapClass("reflection")
         return MapClass("imaginary-reflection")
-    inner = classify(square, tol, max_order)
+    inner = classify(square, tol)
     if inner.kind == "loxodromic":
         lam = cmath.sqrt(inner.multiplier)
         if abs(lam) <= 1.0:
@@ -302,7 +302,7 @@ def _classify_anticonformal(m, tol, max_order):
     return MapClass("ambiguous-parabolic")
 
 
-def fixed_points(m, tol=TOL):
+def fixed_points(m):
     """Fixed points of a conformal non-identity map, one or two sphere points.
 
     Points are returned sorted with INF first, finite points by
@@ -310,7 +310,7 @@ def fixed_points(m, tol=TOL):
     """
     if not m.conformal:
         raise ValueError("fixed points only computed for conformal maps")
-    if is_identity_map(m, tol):
+    if is_identity_map(m):
         raise ValueError("identity fixes everything")
     a, b, c, d = m.entries
     if abs(c) <= 1e-14:
@@ -334,9 +334,9 @@ def _sort_points(points):
     return tuple(finite)
 
 
-def attracting_fixed_point(m, tol=TOL):
+def attracting_fixed_point(m):
     """The attracting fixed point of a loxodromic map."""
-    cls = classify(m, tol)
+    cls = classify(m)
     if cls.kind != "loxodromic":
         raise ValueError(f"map is {cls.kind}, not loxodromic")
     a, b, c, d = m.entries

@@ -104,7 +104,7 @@ class PairingSystem:
         return out
 
 
-def _other_side_assignment(circles, tol):
+def _other_side_assignment(circles):
     """For each circle, the sign of the side where all other circles sit.
 
     Returns (signs, problem) where problem is a witness string when the
@@ -117,7 +117,7 @@ def _other_side_assignment(circles, tol):
             if i == j:
                 continue
             value = ci.eval(cj.a_point())
-            if abs(value) <= tol:
+            if abs(value) <= TOL:
                 return None, f"circle {j} touches circle {i}"
             seen.add(1 if value > 0 else -1)
         if len(seen) > 1:
@@ -126,7 +126,7 @@ def _other_side_assignment(circles, tol):
     return signs, ""
 
 
-def verify_pairing(system, tol=TOL):
+def verify_pairing(system):
     """Machine-check the three classical Schottky conditions.
 
     (i) the 2g circles are pairwise disjoint and bound a common region D,
@@ -138,19 +138,19 @@ def verify_pairing(system, tol=TOL):
     report = CheckReport()
     circles = system.all_circles()
     for j, (c, cp, m) in enumerate(system.pairs, start=1):
-        cls = classify(m, tol)
+        cls = classify(m)
         if report.add(f"generator {j} loxodromic", cls.kind == "loxodromic",
                       lambda: f"classified {cls.kind}").ok:
-            for p in fixed_points(m, tol):
+            for p in fixed_points(m):
                 for k, circle in enumerate(circles):
-                    if abs(circle.eval(p)) <= tol:
+                    if abs(circle.eval(p)) <= TOL:
                         raise DegeneratePairingError(
                             f"fixed point of generator {j} lies on circle {k}")
 
     disjoint = True
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
-            if not sphere_geometry.circles_disjoint(circles[i], circles[j], tol):
+            if not sphere_geometry.circles_disjoint(circles[i], circles[j]):
                 report.add("circles pairwise disjoint", False,
                            lambda: f"circles {i} and {j} are not disjoint")
                 disjoint = False
@@ -159,7 +159,7 @@ def verify_pairing(system, tol=TOL):
 
     signs = None
     if disjoint and circles:
-        signs, problem = _other_side_assignment(circles, tol)
+        signs, problem = _other_side_assignment(circles)
         report.add("circles bound a common region", signs is not None,
                    lambda: problem)
     elif not circles:
@@ -174,7 +174,7 @@ def verify_pairing(system, tol=TOL):
             discs.append(SphereDisc(circle, signs[k]))
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
-                if sphere_geometry.disc_relation(discs[i], discs[j], tol) != "disjoint":
+                if sphere_geometry.disc_relation(discs[i], discs[j]) != "disjoint":
                     report.add("paired discs pairwise disjoint", False,
                                lambda: f"discs {i} and {j} meet")
                     signs = None
@@ -184,14 +184,14 @@ def verify_pairing(system, tol=TOL):
     for j, (c, cp, m) in enumerate(system.pairs, start=1):
         image = sphere_geometry.map_circle(m, c)
         if (not report.add(f"A_{j} maps C_{j} onto C'_{j}",
-                           circles_equal(image, cp, tol),
+                           circles_equal(image, cp),
                            lambda: f"image is {image!r}").ok
                 or signs is None):
             continue
         d_side = SphereDisc(c, -signs[2 * (j - 1)])       # the D side of C_j
         target = SphereDisc(cp, signs[2 * (j - 1) + 1])   # non-D side of C'_j
         report.add(f"A_{j} throws the common region into C'_{j}-disc",
-                   discs_same(disc_image(m, d_side), target, tol),
+                   discs_same(disc_image(m, d_side), target),
                    lambda: "image disc is on the wrong side")
 
     if report.ok and signs is not None:
@@ -215,16 +215,16 @@ def _letter_discs(system, signs):
     return discs
 
 
-def _require_verified(system, tol):
+def _require_verified(system):
     if system._discs is None:
-        report = verify_pairing(system, tol)
+        report = verify_pairing(system)
         if not report.ok:
             raise ValueError("pairing system failed verification: "
                              + report.failure_message())
     return system._discs
 
 
-def letter_discs(system, tol=TOL, strict=True):
+def letter_discs(system, strict=True):
     """Per-letter ping-pong target discs, keyed by signed index.
 
     strict=True requires the full verification to pass.  With
@@ -233,10 +233,10 @@ def letter_discs(system, tol=TOL, strict=True):
     nothing is cached on the system in that case.
     """
     if strict:
-        return dict(_require_verified(system, tol))
+        return dict(_require_verified(system))
     if system._discs is not None:
         return dict(system._discs)
-    signs, problem = _other_side_assignment(system.all_circles(), tol)
+    signs, problem = _other_side_assignment(system.all_circles())
     if signs is None:
         raise DegeneratePairingError(problem)
     return _letter_discs(system, signs)
@@ -286,7 +286,7 @@ def count_reduced_words(genus, depth):
     return total
 
 
-def ping_pong_disc(system, word, tol=TOL):
+def ping_pong_disc(system, word):
     """The disc guaranteed to contain the image of the common region.
 
     For a reduced word w = x1 x2 ... xn the disc is the image of the
@@ -296,34 +296,34 @@ def ping_pong_disc(system, word, tol=TOL):
     word = reduce_word(word)
     if not word:
         raise ValueError("empty word has no ping-pong disc")
-    discs = _require_verified(system, tol)
+    discs = _require_verified(system)
     disc = discs[word[-1]]
     for letter in reversed(word[:-1]):
         disc = disc_image(system.generator(letter), disc)
     return disc
 
 
-def is_nontrivial_to_depth(system, depth, tol=TOL):
+def is_nontrivial_to_depth(system, depth):
     """Certify that no nonempty reduced word up to depth is the identity.
 
     Returns (ok, certificate) where the certificate records the number
     of words inspected and the first offending word, if any.
     """
-    _require_verified(system, tol)
+    _require_verified(system)
     checked = 0
     for word, m in _word_matrices(system, depth):
         checked += 1
-        if is_identity_map(m, tol):
+        if is_identity_map(m):
             return False, {"depth": depth, "words_checked": checked,
                            "witness": word}
     return True, {"depth": depth, "words_checked": checked, "witness": None}
 
 
-def word_census(system, depth, tol=TOL):
+def word_census(system, depth):
     """Classification counts over all nonempty reduced words up to depth."""
     counts = {}
     for _, m in _word_matrices(system, depth):
-        kind = classify(m, tol).kind
+        kind = classify(m).kind
         counts[kind] = counts.get(kind, 0) + 1
     return counts
 

@@ -126,9 +126,9 @@ class SphereCircle:
         return f"SphereCircle(center={center:.6g}, radius={radius:.6g})"
 
 
-def circles_equal(c1, c2, tol=TOL):
-    return (abs(c1.A - c2.A) <= tol and abs(c1.B - c2.B) <= tol
-            and abs(c1.C - c2.C) <= tol)
+def circles_equal(c1, c2):
+    return (abs(c1.A - c2.A) <= TOL and abs(c1.B - c2.B) <= TOL
+            and abs(c1.C - c2.C) <= TOL)
 
 
 def _pushforward(m, A, B, C):
@@ -190,8 +190,9 @@ class SphereDisc:
     def signed_eval(self, point):
         return self.side * self.circle.eval(point)
 
-    def contains(self, point, tol=0.0):
-        return self.signed_eval(point) < -tol
+    def contains(self, point):
+        """Whether the point lies strictly inside (a sign test, no band)."""
+        return self.signed_eval(point) < 0.0
 
     def complement(self):
         return SphereDisc(self.circle, -self.side)
@@ -227,12 +228,12 @@ def _sign(x):
     return 1 if x > 0 else -1
 
 
-def discs_same(d1, d2, tol=TOL):
-    if not circles_equal(d1.circle, d2.circle, tol):
+def discs_same(d1, d2):
+    if not circles_equal(d1.circle, d2.circle):
         return False
     A1, B1, C1 = d1.oriented()
     A2, B2, C2 = d2.oriented()
-    return abs(A1 - A2) <= tol and abs(B1 - B2) <= tol and abs(C1 - C2) <= tol
+    return abs(A1 - A2) <= TOL and abs(B1 - B2) <= TOL and abs(C1 - C2) <= TOL
 
 
 def disc_image(m, disc):
@@ -267,7 +268,7 @@ def inversive_product(d1, d2):
     return ((B1 * B2.conjugate()).real * 2.0 - A1 * C2 - A2 * C1) / 2.0
 
 
-def disc_relation(d1, d2, tol=TOL):
+def disc_relation(d1, d2):
     """One of 'disjoint', 'touching', 'meets' for closed discs.
 
     'touching' means externally tangent: interiors disjoint, boundaries
@@ -278,18 +279,18 @@ def disc_relation(d1, d2, tol=TOL):
     resolved with a boundary point test.
     """
     p = inversive_product(d1, d2)
-    if p > -1.0 + tol:
+    if p > -1.0 + TOL:
         return "meets"
     boundary = d2.circle.a_point()
-    if d1.signed_eval(boundary) < -tol:
+    if d1.signed_eval(boundary) < -TOL:
         return "meets"            # boundary of d2 inside d1: covering pair
-    if p < -1.0 - tol:
+    if p < -1.0 - TOL:
         return "disjoint"
     return "touching"
 
 
-def discs_disjoint(d1, d2, tol=TOL):
-    return disc_relation(d1, d2, tol) == "disjoint"
+def discs_disjoint(d1, d2):
+    return disc_relation(d1, d2) == "disjoint"
 
 
 def disc_contains(outer, inner, tol=TOL):
@@ -301,21 +302,22 @@ def disc_contains(outer, inner, tol=TOL):
     return outer.signed_eval(boundary) <= tol
 
 
-def circles_disjoint(c1, c2, tol=TOL):
+def circles_disjoint(c1, c2):
     """Whether two circles are disjoint as curves (tangency is not disjoint)."""
     d1 = SphereDisc(c1, 1)
     d2 = SphereDisc(c2, 1)
-    return abs(inversive_product(d1, d2)) > 1.0 + tol
+    return abs(inversive_product(d1, d2)) > 1.0 + TOL
 
 
-def circle_separates(circle, p, q, tol=TOL):
+def circle_separates(circle, p, q):
     """Whether the circle separates two sphere points.
 
-    Points on the circle (within tol) are never certified as separated.
+    A point whose form value is within TOL of zero counts as on the
+    circle, and points on the circle are never certified as separated.
     """
     vp = circle.eval(p)
     vq = circle.eval(q)
-    if abs(vp) <= tol or abs(vq) <= tol:
+    if abs(vp) <= TOL or abs(vq) <= TOL:
         return False
     return (vp > 0) != (vq > 0)
 

@@ -213,7 +213,7 @@ def test_failed_pairing_verification_names_the_witness(monkeypatch):
               witness="circles 0 and 1 are not disjoint"),
         Check("circles bound a common region", "fail")])
     monkeypatch.setattr(basic_groups, "verify_pairing",
-                        lambda system, tol: failing)
+                        lambda system: failing)
     with pytest.raises(PairingConstructionError) as err:
         make_basic("T2", lam=4.0).pairing_system()
     assert str(err.value) == (
