@@ -96,6 +96,9 @@ class Scene:
     root: str = None
     pairing: list = field(default_factory=list)     # raw number tuples
     theta: dict = None                              # {"target":…, "images":…}
+    # (node name, field) -> line of that field, (None, "root") -> line of
+    # the root stanza; for diagnostics only, so the echo cannot carry it
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 _LEAF_TYPES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
@@ -274,6 +277,7 @@ def parse_scene(text):
             if fields:
                 raise SceneError("root takes no fields", fields[0][0])
             scene.root = header[1]
+            scene.lines[(None, "root")] = line
             continue
         else:
             if len(header) != 2:
@@ -293,11 +297,11 @@ def parse_scene(text):
                 scene.settings["spacing"] = value
         elif kind == "leaf":
             scene.leaves.append((name, _parse_leaf(name, fields, line)))
-        elif kind == "product":
-            scene.nodes.append(
-                ("product", name, _parse_product(name, fields, line)))
-        elif kind == "hnn":
-            scene.nodes.append(("hnn", name, _parse_hnn(name, fields, line)))
+        elif kind in ("product", "hnn"):
+            parse = _parse_product if kind == "product" else _parse_hnn
+            scene.nodes.append((kind, name, parse(name, fields, line)))
+            for lineno, key, _ in fields:
+                scene.lines[(name, key)] = lineno
         elif kind == "pairing":
             if scene.pairing:
                 raise SceneError("duplicate pairing stanza", line)
@@ -458,20 +462,22 @@ def construct(scene, depth=6):
 
     nodes = {}
 
-    def resolve(name, line=None):
+    def resolve(name, line):
         if name in nodes:
             return nodes[name]
         if name in groups:
             return Leaf(groups[name])
         raise SceneError(f"unknown node {name!r}", line)
 
+    line_of = scene.lines.get
     for kind, name, spec in scene.nodes:
         if kind == "product":
             if "parts" in spec:
                 for part in spec["parts"]:
                     if part not in groups:
                         raise SceneError(
-                            f"product part {part!r} is not a leaf")
+                            f"product part {part!r} is not a leaf",
+                            line_of((name, "parts")))
                 parts = [groups[p] for p in spec["parts"]]
                 nodes[name] = chain_leaves(parts, spacing=spacing,
                                            depth=depth)
@@ -480,11 +486,13 @@ def construct(scene, depth=6):
                     complex(spec["wall"][0], spec["wall"][1]),
                     spec["wall"][2])
                 B1 = SphereDisc(wall, 1)
-                nodes[name] = free_product(resolve(spec["left"]),
-                                           resolve(spec["right"]), None,
-                                           B1, B1.complement(), depth)
+                nodes[name] = free_product(
+                    resolve(spec["left"], line_of((name, "left"))),
+                    resolve(spec["right"], line_of((name, "right"))), None,
+                    B1, B1.complement(), depth)
         else:
-            base = None if spec["base"] == "none" else resolve(spec["base"])
+            base = None if spec["base"] == "none" \
+                else resolve(spec["base"], line_of((name, "base")))
             kwargs = {"depth": depth}
             if "stable" in spec:
                 kwargs["stable_name"] = spec["stable"]
@@ -512,7 +520,7 @@ def construct(scene, depth=6):
         return built
 
     if scene.root is not None:
-        built.node = resolve(scene.root)
+        built.node = resolve(scene.root, line_of((None, "root")))
     elif len(nodes) == 1:
         built.node = next(iter(nodes.values()))
     elif not nodes and len(groups) == 1:
@@ -654,6 +662,17 @@ _COMMANDS = {
 }
 
 
+def _depth(token):
+    try:
+        value = int(token)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {token!r}")
+    return value
+
+
 def _make_parser():
     parser = argparse.ArgumentParser(
         prog="vskit", description="scene-driven group constructions")
@@ -661,10 +680,10 @@ def _make_parser():
     for name in ("build", "verify", "signature", "rank", "limitset"):
         p = sub.add_parser(name)
         p.add_argument("scene", help="scene file path")
-        p.add_argument("--depth", type=int, default=6,
+        p.add_argument("--depth", type=_depth, default=6,
                        help="word depth for hypothesis checks")
         if name == "limitset":
-            p.add_argument("--ls-depth", dest="ls_depth", type=int,
+            p.add_argument("--ls-depth", dest="ls_depth", type=_depth,
                            default=8, help="sampling depth")
             p.add_argument("--out", default=None, help="output image path")
     p = sub.add_parser("enumerate-cyclic")

@@ -604,19 +604,30 @@ class RankReport:
 def validate_theta(tree, theta):
     """Check theta against the tree's relations.
 
-    Verifies: every generator has an image; torsion generators map to
+    Verifies: every generator has an image, and every image belongs to a
+    generator of the tree (a leaf generator or a stable letter); torsion
+    generators map to
     elements of compatible order; free generators inverted by some
     torsion element map to elements of order at most 2; amalgamated
     generators have equal images; theta is injective on every leaf's
     torsion subgroup (otherwise the kernel has torsion and cannot be
     free).  Returns (problems, torsion_free).
     """
+    problems, torsion_free, _ = _theta_check(tree, theta)
+    return problems, torsion_free
+
+
+def _theta_check(tree, theta):
+    """validate_theta's (problems, torsion_free), plus the images of the
+    tree's own generators, in the order theta lists them."""
     problems = []
     torsion_free = True
     H = theta.target
+    generators = set()
     for leaf in tree_leaves(tree):
         sym = leaf.group.symbolic
         names = leaf.group.generator_names
+        generators.update(names)
         for name in names:
             if name not in theta.images:
                 problems.append(f"generator {name!r} has no image")
@@ -650,19 +661,22 @@ def validate_theta(tree, theta):
                     f"{leaf.group.label}: kernel would contain torsion")
                 break
             seen[img] = t
-    problems.extend(_amalgam_theta_problems(tree, theta))
-    return problems, torsion_free
-
-
-def _amalgam_theta_problems(tree, theta):
-    problems = []
     for node in walk_tree(tree):
-        if node.kind == "product" and node.amalgam_images is not None:
+        if node.kind == "hnn":
+            generators.add(node.stable_name)
+        elif node.kind == "product" and node.amalgam_images is not None:
             img1 = theta.apply(node.amalgam_images[0])
             img2 = theta.apply(node.amalgam_images[1])
             if img1 != img2:
                 problems.append("amalgamated generators have unequal images")
-    return problems
+    images = []
+    for name, img in theta.images.items():
+        if name in generators:
+            images.append(img)
+        else:
+            problems.append(f"theta has an image for {name!r}, which is "
+                            "not a generator")
+    return problems, torsion_free, images
 
 
 def kernel_rank(tree, theta, force=False):
@@ -670,10 +684,11 @@ def kernel_rank(tree, theta, force=False):
 
     kernel_rank = 1 - |H| * chi(K).  Refuses non-surjective theta unless
     force is set, in which case H is replaced by the image subgroup.
+    Only the images of the tree's own generators count towards the
+    image subgroup.
     """
-    problems, torsion_free = validate_theta(tree, theta)
+    problems, torsion_free, images = _theta_check(tree, theta)
     H = theta.target
-    images = [img for img in theta.images.values()]
     surjective = H.generated_by(images)
     order_h = H.order
     if not surjective:

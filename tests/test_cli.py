@@ -201,6 +201,26 @@ class TestParsing:
         assert capsys.readouterr().out == (
             "scene error: line 10: part 'Q0' is listed twice\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("leaf A\n  type T1\n  n 2\n\nleaf B\n  type T2\n  lam 4\n\n"
+         "product P\n  parts A B\n\nproduct Q\n  parts P A\n\nroot Q\n",
+         "line 13: product part 'P' is not a leaf"),
+        ("leaf A\n  type T2\n  lam 4\n\nproduct P\n  left Z\n  right A\n"
+         "  wall 0 0 1\n\nroot P\n", "line 6: unknown node 'Z'"),
+        ("leaf A\n  type T2\n  lam 4\n\nproduct P\n  left A\n  right Z\n"
+         "  wall 0 0 1\n\nroot P\n", "line 7: unknown node 'Z'"),
+        ("hnn H\n  base Z\n  letter 4 0 0 1/4\n  disc1 0 0 1/4 inside\n"
+         "  disc2 0 0 4 outside\n", "line 2: unknown node 'Z'"),
+        ("leaf A\n  type T1\n  n 2\n\nroot Z\n",
+         "line 5: unknown node 'Z'"),
+    ], ids=["part-is-product", "left", "right", "base", "root"])
+    def test_reference_errors_carry_line_numbers(self, scene_file, capsys,
+                                                 text, message):
+        scene = parse_scene(text)
+        assert parse_scene(scene_text(scene)) == scene
+        assert run("build", [scene_file(text)]) == 2
+        assert capsys.readouterr().out == f"scene error: {message}\n"
+
     def test_theta_arity_message(self):
         with pytest.raises(SceneError, match="image takes a name and 2"):
             parse_scene("theta\n  target 2 2\n  image X 1\n")
@@ -241,6 +261,21 @@ class TestCommands:
         assert run("rank", [path]) == 0
         out = capsys.readouterr().out
         assert "kernel rank = 8" in out and "chi(K) = -7/6" in out
+
+    def test_rank_ignores_stray_theta_images(self, scene_file, capsys):
+        text = ("leaf A\n  type T1\n  n 2\n\nleaf B\n  type T2\n  lam 4\n\n"
+                "product P\n  parts A B\n\ntheta\n  target 4\n"
+                "  image A.E 2\n  image B.L 0\n  image X.E 1\n")
+        assert run("rank", [scene_file(text)]) == 1
+        assert capsys.readouterr().out == (
+            "H = Z_4\n"
+            "chi(K) = -1/2\n"
+            "|H| = 2\n"
+            "kernel rank = 2\n"
+            "theta surjective: NO\n"
+            "kernel torsion-free: yes\n"
+            "problem: theta has an image for 'X.E', which is not a "
+            "generator\n")
 
     def test_rank_requires_theta(self, scene_file, capsys):
         path = scene_file(HNN_OK)
@@ -287,6 +322,24 @@ class TestCommands:
     def test_enumerate_cyclic_rejects_bad_domain(self, capsys):
         assert run("enumerate-cyclic", ["1", "5"]) == 2
         assert "n >= 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,text,args", [
+        ("build", CHAIN3, ["--depth", "0"]),
+        ("build", RANK_T4, ["--depth", "0"]),
+        ("verify", RANK_T4, ["--depth", "-3"]),
+        ("limitset", PAIR_OK, ["--ls-depth", "0", "--out", "OUT"]),
+        ("limitset", PAIR_OK, ["--ls-depth", "-2", "--out", "OUT"]),
+    ], ids=["build-chain", "build-leaf", "verify-leaf", "limitset-0",
+            "limitset-negative"])
+    def test_depth_below_one_is_malformed_input(self, scene_file, tmp_path,
+                                                capsys, command, text, args):
+        out = tmp_path / "sample.svg"
+        args = [str(out) if a == "OUT" else a for a in args]
+        assert run(command, [scene_file(text), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer >= 1" in captured.err
+        assert not out.exists()
 
     def test_limitset_writes_image(self, scene_file, tmp_path, capsys):
         path = scene_file(PAIR_OK)

@@ -282,6 +282,24 @@ def test_kernel_rank_requires_surjectivity_unless_forced():
     assert not forced.ok
 
 
+def test_kernel_rank_ignores_images_of_non_generators():
+    a = Leaf(make_basic("T1", n=2, prefix="a."))
+    b = Leaf(make_basic("T2", lam=4.0, prefix="b."))
+    tree = uncertified_free_product(a, b)
+    H = FiniteAbelianGroup((4,))
+    own = {"a.E": (2,), "b.L": (0,)}
+    stray = kernel_rank(tree, QuotientMap(H, {**own, "x.E": (1,)}))
+    assert not stray.surjective and stray.order_h == 2
+    assert "theta has an image for 'x.E', which is not a generator" \
+        in stray.problems
+    plain = kernel_rank(tree, QuotientMap(H, own), force=True)
+    forced = kernel_rank(tree, QuotientMap(H, {**own, "x.E": (1,)}),
+                         force=True)
+    assert (forced.order_h, forced.kernel_rank) == \
+        (plain.order_h, plain.kernel_rank) == (2, 2)
+    assert not forced.ok
+
+
 def test_quotient_map_word_application():
     t6 = make_basic("T6", lam1=30.0, lam2=4.0)
     theta = t6.default_theta()
