@@ -606,12 +606,11 @@ def validate_theta(tree, theta):
 
     Verifies: every generator has an image, and every image belongs to a
     generator of the tree (a leaf generator or a stable letter); torsion
-    generators map to
-    elements of compatible order; free generators inverted by some
-    torsion element map to elements of order at most 2; amalgamated
-    generators have equal images; theta is injective on every leaf's
-    torsion subgroup (otherwise the kernel has torsion and cannot be
-    free).  Returns (problems, torsion_free).
+    generators map to elements of compatible order; free generators
+    inverted by some torsion element map to elements of order at most 2;
+    amalgamated generators have equal images; theta is injective on every
+    leaf's torsion subgroup (otherwise the kernel has torsion and cannot
+    be free).  Returns (problems, torsion_free).
     """
     problems, torsion_free, _ = _theta_check(tree, theta)
     return problems, torsion_free
