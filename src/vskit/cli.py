@@ -97,7 +97,7 @@ class Scene:
     pairing: list = field(default_factory=list)     # raw number tuples
     theta: dict = None                              # {"target":…, "images":…}
     # (node name, field) -> line of that field, (None, "root") -> line of
-    # the root stanza; for diagnostics only, so the echo cannot carry it
+    # the root stanza; left out of equality, since an echo moves lines
     lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 

@@ -154,16 +154,14 @@ def sample(source, depth=8, require_verified=True,
     require_verified=False.
     """
     if isinstance(source, PairingSystem):
-        return _sample_pairing(source, depth, require_verified,
-                               circle_budget)
+        return _sample_pairing(source, depth, require_verified, circle_budget)
     if hasattr(source, "pairing_system"):
         if source.schottky_names:
             system = source.pairing_system(verify=require_verified)
             return _sample_pairing(system, depth, require_verified,
                                    circle_budget)
         # finite leaf: no loxodromic pairing, fixed points only
-        return _sample_elements(GroupData.coerce(source), depth,
-                                circle_budget)
+        return _sample_elements(GroupData.coerce(source), depth, circle_budget)
     node = source.tree if hasattr(source, "tree") else source
     if not hasattr(node, "kind"):
         raise TypeError(f"cannot sample a {type(source).__name__}")
