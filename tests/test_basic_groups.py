@@ -12,7 +12,7 @@ from vskit.basic_groups import (BasicGroup, BasicGroupError,
                                 make_basic, make_b3, orbifold_signature,
                                 Gluing)
 from vskit.group_algebra import kernel_rank
-from vskit.combination import Leaf
+from vskit.combination import Leaf, assemble
 from vskit.schottky import Check, CheckReport
 
 
@@ -343,3 +343,109 @@ def test_b3_theta_respects_identification():
     assert theta.images["a.V"] == theta.images["b.V"]
     report = kernel_rank(g.tree, theta)
     assert report.ok and report.kernel_rank == g.rank
+
+
+# ---------------------------------------------------------------------------
+# presentations: one golden per type, relation checks, large multipliers
+
+
+def _conj(t, f, sign):
+    """The relator t f t^-1 f^-sign as (name, exponent) letters."""
+    return ((t, 1), (f, 1), (t, -1), (f, -sign))
+
+
+PRESENTATIONS = [
+    # (factory kwargs, gens, free names, torsion names, torsion orders,
+    #  action, schottky names, rank, index, label, theta images, relations)
+    (dict(btype="T1", n=5),
+     ("x.E",), (), ("x.E",), (5,), ((),), (), 0, 5, "T1(n=5)",
+     {"x.E": (1,)},
+     ((("x.E", 5),),)),
+    (dict(btype="T2", lam=4.0),
+     ("x.L",), ("x.L",), (), (), (), ("x.L",), 1, 1, "T2(lambda=4)",
+     {"x.L": ()},
+     ()),
+    (dict(btype="T3"),
+     ("x.U", "x.V"), (), ("x.U", "x.V"), (2, 2), ((), ()), (), 0, 4, "T3",
+     {"x.U": (1, 0), "x.V": (0, 1)},
+     ((("x.U", 2),), (("x.V", 2),), _conj("x.U", "x.V", 1))),
+    (dict(btype="T4", n=3, lam=2.0),
+     ("x.A", "x.E"), ("x.A",), ("x.E",), (3,), ((1,),), ("x.A",), 1, 3,
+     "T4(n=3, lambda=2)",
+     {"x.A": (0,), "x.E": (1,)},
+     ((("x.E", 3),), _conj("x.E", "x.A", 1))),
+    (dict(btype="T5", lam=4.0),
+     ("x.A", "x.U", "x.V"), ("x.A",), ("x.U", "x.V"), (2, 2),
+     ((1,), (-1,)), ("x.A",), 1, 4, "T5(lambda=4)",
+     {"x.A": (0, 0), "x.U": (1, 0), "x.V": (0, 1)},
+     ((("x.U", 2),), (("x.V", 2),), _conj("x.U", "x.V", 1),
+      _conj("x.U", "x.A", 1), _conj("x.V", "x.A", -1))),
+    (dict(btype="T6", lam1=30.0, lam2=4.0),
+     ("x.A", "x.B", "x.U", "x.V"), ("x.A", "x.B"), ("x.U", "x.V"), (2, 2),
+     ((1, -1), (-1, 1)), ("x.A", "x.B"), 2, 4, "T6(lambda1=30, lambda2=4)",
+     {"x.A": (0, 0), "x.B": (0, 0), "x.U": (1, 0), "x.V": (0, 1)},
+     ((("x.U", 2),), (("x.V", 2),), _conj("x.U", "x.V", 1),
+      _conj("x.U", "x.A", 1), _conj("x.U", "x.B", -1),
+      _conj("x.V", "x.A", -1), _conj("x.V", "x.B", 1))),
+    (dict(btype="T7", lam1=16.0, lam2=16.0, lam3=16.0),
+     ("x.A", "x.B", "x.C", "x.U", "x.V"), ("x.A", "x.B", "x.C"),
+     ("x.U", "x.V"), (2, 2), ((1, -1, -1), (-1, 1, -1)),
+     ("x.A", "x.B", "x.C"), 3, 4, "T7(lambda1=16, lambda2=16, lambda3=16)",
+     {"x.A": (0, 0), "x.B": (0, 0), "x.C": (0, 0), "x.U": (1, 0),
+      "x.V": (0, 1)},
+     ((("x.U", 2),), (("x.V", 2),), _conj("x.U", "x.V", 1),
+      _conj("x.U", "x.A", 1), _conj("x.U", "x.B", -1),
+      _conj("x.U", "x.C", -1), _conj("x.V", "x.A", -1),
+      _conj("x.V", "x.B", 1), _conj("x.V", "x.C", -1))),
+]
+
+
+@pytest.mark.parametrize("case", PRESENTATIONS, ids=lambda c: c[0]["btype"])
+def test_presentation_golden(case):
+    (kwargs, gens, free, torsion, orders, action, schottky, rank, index,
+     label, images, relations) = case
+    g = make_basic(prefix="x.", **kwargs)
+    assert tuple(g.gens) == gens
+    sym = g.symbolic
+    assert sym.free_names == free
+    assert sym.torsion_names == torsion
+    assert sym.torsion.orders == orders
+    assert sym.action == action
+    assert g.quotient.orders == orders
+    assert (g.rank, g.index, g.schottky_names) == (rank, index, schottky)
+    assert g.label == label
+    assert g.default_theta().images == images
+    assert assemble(Leaf(g)).relations == relations
+
+
+@pytest.mark.parametrize("btype,kwargs", [
+    ("T6", dict(lam1=30.0, lam2=4.0)),
+    ("T7", dict(lam1=16.0, lam2=16.0, lam3=16.0)),
+])
+def test_relation_check_catches_a_commuting_axis_loxodromic(
+        monkeypatch, btype, kwargs):
+    # a scaling commutes with U, which must invert B
+    monkeypatch.setattr(basic_groups, "_axis_loxodromic",
+                        basic_groups._scaling)
+    with pytest.raises(RuntimeError,
+                       match="internal relation check failed"):
+        make_basic(btype, **kwargs)
+
+
+def test_relation_check_catches_a_wrong_rotation_order(monkeypatch):
+    rotation = basic_groups._rotation
+    monkeypatch.setattr(basic_groups, "_rotation", lambda n: rotation(n + 1))
+    with pytest.raises(RuntimeError,
+                       match="internal relation check failed"):
+        make_basic("T1", n=5)
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e6, 1e8, 1e10, 1e12, -1e8, 1e10j,
+                                 3e11 + 4e11j])
+def test_large_multipliers_construct(lam):
+    assert make_basic("T4", n=3, lam=lam).rank == 1
+    assert make_basic("T5", lam=lam).rank == 1
+    assert make_basic("T6", lam1=lam, lam2=1e4).rank == 2
+    assert make_basic("T6", lam1=1e4, lam2=lam).rank == 2
+    assert make_basic("T7", lam1=lam, lam2=lam, lam3=lam).rank == 3
+    assert make_basic("T7", lam1=4 * lam, lam2=lam, lam3=lam).rank == 3
