@@ -11,9 +11,10 @@ Each type is built from explicit matrices in a standard position:
   T7  adds C fixing +-i, so <A, B, C> is Schottky of rank three;
   B3  chains of T3/T5/T6 components amalgamated over shared involutions.
 
-Every constructor verifies its relation suite projectively and records
-the distinguished Schottky generators, the finite abelian quotient H,
-and the symbolic leaf structure used by the algebra layer.
+Each type is declared once, by its generators and the action of its
+torsion on its free generators; make_basic derives from that the symbolic
+leaf used by the algebra layer, the distinguished Schottky generators,
+the finite abelian quotient H, and the relation suite it verifies.
 """
 
 from dataclasses import dataclass
@@ -26,13 +27,16 @@ from .moebius import (MoebiusMap, classify, projectively_equal,
 from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
-                            TRIVIAL_GROUP, euler_characteristic,
-                            symbolic_model)
+                            euler_characteristic, symbolic_model)
 from . import combination
 from .combination import (Leaf, free_product, CombinationError,
                           word_names)
 
-BASIC_TYPES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
+# type -> the make_basic keywords (and scene fields) it takes
+BASIC_PARAMETERS = {"T1": ("n",), "T2": ("lam",), "T3": (), "T4": ("n", "lam"),
+                    "T5": ("lam",), "T6": ("lam1", "lam2"),
+                    "T7": ("lam1", "lam2", "lam3")}
+BASIC_TYPES = tuple(BASIC_PARAMETERS)
 
 _LAMBDA_MARGIN = 1e-9
 
@@ -100,19 +104,6 @@ def _check_lambda(lam, tag="lambda"):
     if abs(lam) <= 1.0 + _LAMBDA_MARGIN:
         raise BasicGroupError(f"{tag} must satisfy |{tag}| > 1")
     return lam
-
-
-def _verify(condition, message):
-    if not condition:
-        raise RuntimeError(f"internal relation check failed: {message}")
-
-
-def _inverts(t, m):
-    return projectively_equal(t * m * t.inverse(), m.inverse())
-
-
-def _commutes(t, m):
-    return projectively_equal(t * m, m * t)
 
 
 # ---------------------------------------------------------------------------
@@ -312,120 +303,106 @@ def _apollonius_circle(lam, imaginary=False):
 # constructors
 
 
-def make_basic(btype, n=None, lam=None, lam1=None, lam2=None, lam3=None,
-               prefix=""):
-    """Construct a basic group of the given type in standard position.
+def _presentation(btype, n=None, lam=None, lam1=None, lam2=None, lam3=None):
+    """The declaration of one basic type: (params, free, torsion).
 
-    Multipliers may be complex with |lambda| > 1; n is an integer >= 2.
-    All relations of the type are verified projectively at construction.
-    Generator names are prefixed with `prefix` for use inside trees.
+    free maps each free generator's name to its matrix; torsion maps each
+    torsion generator's name to (matrix, order, action), with one action
+    sign per free generator: +1 where the torsion generator commutes with
+    it, -1 where it conjugates it to its inverse.
     """
-    if btype not in BASIC_TYPES:
-        raise BasicGroupError(f"unknown basic type {btype!r}")
-    p = prefix
-
     if btype == "T1":
         n = _check_n(n)
-        E = _rotation(n)
-        _verify(classify(E).kind == "elliptic" and classify(E).order == n,
-                "E must be elliptic of order n")
-        symbolic = LeafSymbolic((), FiniteAbelianGroup((n,)), (p + "E",),
-                                ((),))
-        return BasicGroup("T1", {"n": n}, {p + "E": E}, (),
-                          symbolic, FiniteAbelianGroup((n,)), 0, n, prefix=p)
-
+        return {"n": n}, {}, {"E": (_rotation(n), n, ())}
     if btype == "T2":
-        lam = _check_lambda(lam if lam is not None else lam1)
-        L = _scaling(lam)
-        _verify(classify(L).kind == "loxodromic", "L must be loxodromic")
-        symbolic = LeafSymbolic((p + "L",), TRIVIAL_GROUP, (), ())
-        return BasicGroup("T2", {"lambda": lam}, {p + "L": L}, (p + "L",),
-                          symbolic, TRIVIAL_GROUP, 1, 1, prefix=p)
-
+        lam = _check_lambda(lam)
+        return {"lambda": lam}, {"L": _scaling(lam)}, {}
     if btype == "T3":
-        U, V = _NEGATE, _INVERT
-        _verify(classify(U).order == 2 and classify(V).order == 2,
-                "U, V must be involutions")
-        _verify(_commutes(U, V), "U, V must commute")
-        _verify(classify(U * V).order == 2, "UV must be an involution")
-        symbolic = LeafSymbolic((), FiniteAbelianGroup((2, 2)),
-                                (p + "U", p + "V"), ((), ()))
-        return BasicGroup("T3", {}, {p + "U": U, p + "V": V}, (),
-                          symbolic, FiniteAbelianGroup((2, 2)), 0, 4,
-                          prefix=p)
-
+        return {}, {}, {"U": (_NEGATE, 2, ()), "V": (_INVERT, 2, ())}
     if btype == "T4":
         n = _check_n(n)
-        lam = _check_lambda(lam if lam is not None else lam1)
-        A = _scaling(lam)
-        E = _rotation(n)
-        _verify(classify(A).kind == "loxodromic", "A must be loxodromic")
-        _verify(_commutes(A, E), "A and E must commute")
-        symbolic = LeafSymbolic((p + "A",), FiniteAbelianGroup((n,)),
-                                (p + "E",), ((1,),))
-        return BasicGroup("T4", {"n": n, "lambda": lam},
-                          {p + "A": A, p + "E": E}, (p + "A",),
-                          symbolic, FiniteAbelianGroup((n,)), 1, n, prefix=p)
-
+        lam = _check_lambda(lam)
+        return ({"n": n, "lambda": lam}, {"A": _scaling(lam)},
+                {"E": (_rotation(n), n, (1,))})
     if btype == "T5":
-        lam = _check_lambda(lam if lam is not None else lam1)
-        A = _scaling(lam)
-        U, V = _NEGATE, _INVERT
-        _verify(classify(A).kind == "loxodromic", "A must be loxodromic")
-        _verify(_commutes(A, U), "A and U must commute")
-        _verify(_inverts(V, A), "V must invert A")
-        symbolic = LeafSymbolic((p + "A",), FiniteAbelianGroup((2, 2)),
-                                (p + "U", p + "V"), ((1,), (-1,)))
-        return BasicGroup("T5", {"lambda": lam},
-                          {p + "A": A, p + "U": U, p + "V": V}, (p + "A",),
-                          symbolic, FiniteAbelianGroup((2, 2)), 1, 4,
-                          prefix=p)
-
-    if btype == "T6":
-        lam1 = _check_lambda(lam1, "lambda1")
-        lam2 = _check_lambda(lam2, "lambda2")
-        A = _scaling(lam1)
-        B = _axis_loxodromic(lam2)
-        U, V = _NEGATE, _INVERT
-        _verify(classify(A).kind == "loxodromic", "A must be loxodromic")
-        _verify(classify(B).kind == "loxodromic", "B must be loxodromic")
-        _verify(_commutes(A, U), "A and U must commute")
-        _verify(_commutes(B, V), "B and V must commute")
-        _verify(_inverts(V, A), "V must invert A")
-        _verify(_inverts(U, B), "U must invert B")
-        symbolic = LeafSymbolic((p + "A", p + "B"), FiniteAbelianGroup((2, 2)),
-                                (p + "U", p + "V"), ((1, -1), (-1, 1)))
-        return BasicGroup("T6", {"lambda1": lam1, "lambda2": lam2},
-                          {p + "A": A, p + "B": B, p + "U": U, p + "V": V},
-                          (p + "A", p + "B"), symbolic,
-                          FiniteAbelianGroup((2, 2)), 2, 4, prefix=p)
-
-    # T7
+        lam = _check_lambda(lam)
+        return ({"lambda": lam}, {"A": _scaling(lam)},
+                {"U": (_NEGATE, 2, (1,)), "V": (_INVERT, 2, (-1,))})
     lam1 = _check_lambda(lam1, "lambda1")
     lam2 = _check_lambda(lam2, "lambda2")
+    free = {"A": _scaling(lam1), "B": _axis_loxodromic(lam2)}
+    if btype == "T6":
+        return ({"lambda1": lam1, "lambda2": lam2}, free,
+                {"U": (_NEGATE, 2, (1, -1)), "V": (_INVERT, 2, (-1, 1))})
     lam3 = _check_lambda(lam3, "lambda3")
-    A = _scaling(lam1)
-    B = _axis_loxodromic(lam2)
-    C = _imaginary_axis_loxodromic(lam3)
-    U, V = _NEGATE, _INVERT
-    for m, tag in ((A, "A"), (B, "B"), (C, "C")):
-        _verify(classify(m).kind == "loxodromic", f"{tag} must be loxodromic")
-    _verify(_commutes(A, U), "A and U must commute")
-    _verify(_commutes(B, V), "B and V must commute")
-    _verify(_commutes(C, U * V), "C and UV must commute")
-    _verify(_inverts(V, A), "V must invert A")
-    _verify(_inverts(U, B), "U must invert B")
-    _verify(_inverts(U, C), "U must invert C")
-    _verify(_inverts(V, C), "V must invert C")
-    symbolic = LeafSymbolic((p + "A", p + "B", p + "C"),
-                            FiniteAbelianGroup((2, 2)), (p + "U", p + "V"),
-                            ((1, -1, -1), (-1, 1, -1)))
-    return BasicGroup("T7", {"lambda1": lam1, "lambda2": lam2,
-                             "lambda3": lam3},
-                      {p + "A": A, p + "B": B, p + "C": C,
-                       p + "U": U, p + "V": V},
-                      (p + "A", p + "B", p + "C"), symbolic,
-                      FiniteAbelianGroup((2, 2)), 3, 4, prefix=p)
+    free["C"] = _imaginary_axis_loxodromic(lam3)
+    return ({"lambda1": lam1, "lambda2": lam2, "lambda3": lam3}, free,
+            {"U": (_NEGATE, 2, (1, -1, -1)), "V": (_INVERT, 2, (-1, 1, -1))})
+
+
+def _check_presentation(symbolic, gens):
+    """Verify projectively that the matrices satisfy the presentation.
+
+    Free generators must be loxodromic and torsion generators distinct
+    maps; of the relations, t^d asks t to have order exactly d, and every
+    other relator t x t^-1 x^e asks t x t^-1 to equal x^-e.  Sides are
+    compared as maps, never as a relator product against the identity,
+    which loses digits to cancellation at large multipliers.
+    """
+    def check(condition, message):
+        if not condition:
+            raise RuntimeError(f"internal relation check failed: {message}")
+
+    for name in symbolic.free_names:
+        check(classify(gens[name]).kind == "loxodromic",
+              f"{name} must be loxodromic")
+    names = symbolic.torsion_names
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            check(not projectively_equal(gens[first], gens[second]),
+                  f"{first} and {second} must be distinct")
+    for relation in symbolic.relations():
+        if len(relation) == 1:
+            (name, order), = relation
+            check(classify(gens[name]).order == order,
+                  f"{name} must have order {order}")
+            continue
+        (t, _), (x, _), _, (_, e) = relation
+        m = gens[x]
+        check(projectively_equal(gens[t] * m * gens[t].inverse(),
+                                 m.inverse() if e > 0 else m),
+              f"{t} must {'invert' if e > 0 else 'commute with'} {x}")
+
+
+def make_basic(btype, *, prefix="", **params):
+    """Construct a basic group of the given type in standard position.
+
+    params are the keywords BASIC_PARAMETERS lists for the type; any other
+    is rejected.  Multipliers may be complex with |lambda| > 1; n is an
+    integer >= 2.  _presentation declares the type once; from it follow
+    the generator names (prefixed with `prefix`, free before torsion), the
+    LeafSymbolic, the Schottky generators (the free ones), the quotient H
+    (the torsion group), rank, index, and the relation suite, verified
+    projectively here and listed by `assemble`.
+    """
+    if btype not in BASIC_PARAMETERS:
+        raise BasicGroupError(f"unknown basic type {btype!r}")
+    for key in params:
+        if key not in BASIC_PARAMETERS[btype]:
+            raise BasicGroupError(f"{btype} takes no parameter {key!r}")
+    values, free, torsion = _presentation(btype, **params)
+    p = prefix
+    symbolic = LeafSymbolic(
+        [p + name for name in free],
+        FiniteAbelianGroup([order for _, order, _ in torsion.values()]),
+        [p + name for name in torsion],
+        [action for _, _, action in torsion.values()])
+    gens = {p + name: m for name, m in free.items()}
+    gens.update((p + name, m) for name, (m, _, _) in torsion.items())
+    _check_presentation(symbolic, gens)
+    return BasicGroup(btype, values, gens, symbolic.free_names, symbolic,
+                      symbolic.torsion, symbolic.rank, symbolic.torsion.order,
+                      prefix=p)
 
 
 _CONE_TABLE = {"T1": None, "T2": (), "T3": (2, 2, 2), "T4": (),

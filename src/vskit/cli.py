@@ -18,6 +18,10 @@ Stanzas:
       lam 2                   multipliers, 1 or 2 numbers (re [im])
       frame 1 0 0 1           optional conjugating matrix
 
+    Each type takes exactly its own parameters: T1 n; T2 lam; T3 none;
+    T4 n and lam; T5 lam; T6 lam1 and lam2; T7 lam1, lam2 and lam3.  Any
+    other parameter, and any value make_basic rejects, is malformed input.
+
     product NAME              free product node; either
       parts L1 L2 L3          auto-placed chain of leaves, or
       left L1                 explicit factors with a separating wall:
@@ -57,8 +61,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basic_groups import (BasicGroupError, OrbifoldSignature, make_basic,
-                           orbifold_signature)
+from .basic_groups import (BASIC_PARAMETERS, BASIC_TYPES, BasicGroupError,
+                           OrbifoldSignature, make_basic, orbifold_signature)
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
                           free_product, hnn_extension)
 from .cyclic_case import describe, enumerate_signatures
@@ -96,12 +100,15 @@ class Scene:
     root: str = None
     pairing: list = field(default_factory=list)     # raw number tuples
     theta: dict = None                              # {"target":…, "images":…}
-    # (node name, field) -> line of that field, (None, "root") -> line of
-    # the root stanza; left out of equality, since an echo moves lines
+    # (node name, field) -> line of that field, (leaf name, None) -> line
+    # of the leaf stanza, (None, "root") -> line of the root stanza; left
+    # out of equality, since an echo moves lines
     lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-_LEAF_TYPES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
+# every leaf parameter, in echo order: n, lam, lam1, lam2, lam3
+_LEAF_PARAMETERS = tuple(dict.fromkeys(
+    key for keys in BASIC_PARAMETERS.values() for key in keys))
 _STANZA_KINDS = ("scene", "leaf", "product", "hnn", "pairing", "theta",
                  "root")
 
@@ -181,16 +188,18 @@ def _fields_to_dict(fields, allowed, repeats=()):
 
 
 def _parse_leaf(name, fields, line):
-    got = _fields_to_dict(fields, ("type", "n", "lam", "lam1", "lam2",
-                                   "lam3", "frame"))
+    got = _fields_to_dict(fields, ("type", *_LEAF_PARAMETERS, "frame"))
     if "type" not in got:
         raise SceneError(f"leaf {name!r} needs a type", line)
     tno, tokens = got.pop("type")
-    if len(tokens) != 1 or tokens[0] not in _LEAF_TYPES:
+    if len(tokens) != 1 or tokens[0] not in BASIC_TYPES:
         raise SceneError(
-            f"leaf type must be one of {', '.join(_LEAF_TYPES)}", tno)
+            f"leaf type must be one of {', '.join(BASIC_TYPES)}", tno)
     spec = {"type": tokens[0]}
     for key, (lineno, tokens) in got.items():
+        if key != "frame" and key not in BASIC_PARAMETERS[spec["type"]]:
+            raise SceneError(
+                f"leaf type {spec['type']} takes no field {key!r}", lineno)
         if key == "n":
             spec["n"] = _int_field(tokens, lineno, "n")
         elif key == "frame":
@@ -297,6 +306,7 @@ def parse_scene(text):
                 scene.settings["spacing"] = value
         elif kind == "leaf":
             scene.leaves.append((name, _parse_leaf(name, fields, line)))
+            scene.lines[(name, None)] = line
         elif kind in ("product", "hnn"):
             parse = _parse_product if kind == "product" else _parse_hnn
             scene.nodes.append((kind, name, parse(name, fields, line)))
@@ -370,7 +380,7 @@ def scene_text(scene):
         blocks.append("\n".join(lines))
     for name, spec in scene.leaves:
         lines = [f"leaf {name}", f"  type {spec['type']}"]
-        for key in ("n", "lam", "lam1", "lam2", "lam3", "frame"):
+        for key in (*_LEAF_PARAMETERS, "frame"):
             if key in spec:
                 value = spec[key]
                 if key == "n":
@@ -455,7 +465,11 @@ def construct(scene, depth=6):
         for key in ("lam", "lam1", "lam2", "lam3"):
             if key in kwargs:
                 kwargs[key] = _as_value(kwargs[key])
-        group = make_basic(spec["type"], prefix=f"{name}.", **kwargs)
+        try:
+            group = make_basic(spec["type"], prefix=f"{name}.", **kwargs)
+        except BasicGroupError as err:
+            raise SceneError(f"leaf {name!r}: {err}",
+                             scene.lines.get((name, None))) from None
         if "frame" in spec:
             group = group.conjugated_by(_as_matrix(spec["frame"]))
         groups[name] = group

@@ -16,7 +16,8 @@ from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_image, disc_relation,
                               map_circle)
 from . import group_algebra
-from .group_algebra import symbolic_model, enumerate_elements, walk_tree
+from .group_algebra import (symbolic_model, enumerate_elements, walk_tree,
+                            walk_expanded)
 from .schottky import Check, CheckReport
 
 
@@ -506,35 +507,11 @@ class AssembledGroup:
         return out
 
 
-def _leaf_relations(group):
-    """Finite-order, commutation, and inversion relations of one leaf."""
-    sym = group.symbolic
-    rels = []
-    for i, tname in enumerate(sym.torsion_names):
-        rels.append(((tname, sym.torsion.orders[i]),))
-    for i in range(len(sym.torsion_names)):
-        for j in range(i + 1, len(sym.torsion_names)):
-            t1, t2 = sym.torsion_names[i], sym.torsion_names[j]
-            rels.append(((t1, 1), (t2, 1), (t1, -1), (t2, -1)))
-    for i, tname in enumerate(sym.torsion_names):
-        for j, fname in enumerate(sym.free_names):
-            sign = sym.action[i][j]
-            if sign > 0:
-                rels.append(((tname, 1), (fname, 1), (tname, -1), (fname, -1)))
-            else:
-                rels.append(((tname, 1), (fname, 1), (tname, -1), (fname, 1)))
-    return rels
-
-
 def _tree_relations(tree):
     rels = []
-    for node in walk_tree(tree):
+    for node in walk_expanded(tree):
         if node.kind == "leaf":
-            inner = getattr(node.group, "tree", None)
-            if inner is not None:
-                rels.extend(_tree_relations(inner))
-            else:
-                rels.extend(_leaf_relations(node.group))
+            rels.extend(node.group.symbolic.relations())
         elif node.kind == "product":
             if node.amalgam is not None:
                 left_word, right_word = node.amalgam_images
@@ -604,16 +581,13 @@ class PlacementChain:
     (up to PLACEMENT_RETRIES times) before giving up; any other
     CombinationError, such as generator names shared with the chain, is
     raised at once.
-    certify=False skips all hypothesis checks and never retries (bulk
-    symbolic work).
     """
 
-    def __init__(self, spacing=3.0, depth=6, certify=True):
+    def __init__(self, spacing=3.0, depth=6):
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         self.spacing = float(spacing)
         self.depth = depth
-        self.certify = certify
         self.node = None
         self.groups = []
         self.right_edge = 0.0
@@ -630,13 +604,6 @@ class PlacementChain:
             self.node = Leaf(placed)
             self.groups.append(placed)
             self.right_edge = 0.0
-            return self.node
-        if not self.certify:
-            x = self.right_edge + 2.0 * self.spacing
-            placed = self._placed(group, x)
-            self.node = uncertified_free_product(self.node, Leaf(placed))
-            self.groups.append(placed)
-            self.right_edge = x
             return self.node
         last_error = None
         for attempt in range(PLACEMENT_RETRIES + 1):
@@ -661,9 +628,9 @@ class PlacementChain:
             f"after {PLACEMENT_RETRIES + 1} attempts: {last_error}")
 
 
-def chain_leaves(groups, spacing=3.0, depth=6, certify=True):
+def chain_leaves(groups, spacing=3.0, depth=6):
     """Place the groups along the real axis; returns the final tree."""
-    chain = PlacementChain(spacing=spacing, depth=depth, certify=certify)
+    chain = PlacementChain(spacing=spacing, depth=depth)
     node = None
     for group in groups:
         node = chain.append(group)

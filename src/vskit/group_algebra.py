@@ -215,6 +215,23 @@ class LeafSymbolic:
     def is_finite(self):
         return self.rank == 0
 
+    def relations(self):
+        """Defining relators as words of (name, exponent) letters: (t, d)
+        for each torsion generator t of order d, the commutator of each
+        pair of torsion generators, then t f t^-1 f^-s for each torsion
+        generator t and free generator f on which t acts by the sign s.
+        Every relator but the first kind is t x t^-1 x^e: t x t^-1 = x^-e.
+        """
+        names = self.torsion_names
+        rels = [((t, d),) for t, d in zip(names, self.torsion.orders)]
+        for i, t1 in enumerate(names):
+            for t2 in names[i + 1:]:
+                rels.append(((t1, 1), (t2, 1), (t1, -1), (t2, -1)))
+        for t, row in zip(names, self.action):
+            for f, sign in zip(self.free_names, row):
+                rels.append(((t, 1), (f, 1), (t, -1), (f, -sign)))
+        return rels
+
     def __repr__(self):
         return (f"LeafSymbolic(free={self.free_names}, "
                 f"torsion={self.torsion.label()})")
@@ -374,10 +391,10 @@ def walk_tree(tree):
     Order guarantee: post-order, children before their parent and left
     before right (an HNN node after its base).  Composite leaves (groups
     carrying their own .tree, like the B3 amalgams) are yielded as leaves
-    and not entered.  This is the only code that goes down a tree through
-    .left, .right and .base; every other walk is a loop over it.  Folds
-    keep a stack of values: a leaf pushes, a product pops two, an HNN
-    node pops its base if it has one.
+    and not entered; walk_expanded enters them.  This is the only code
+    that goes down a tree through .left, .right and .base; every other
+    walk is a loop over it.  Folds keep a stack of values: a leaf pushes,
+    a product pops two, an HNN node pops its base if it has one.
     """
     # a pre-order that visits right before left, reversed, is the
     # left-before-right post-order
@@ -433,16 +450,27 @@ def symbolic_model(tree):
     return closed(values.pop())
 
 
-def tree_leaves(tree):
-    """Leaf nodes of the tree; composite leaves (groups built from their
-    own sub-tree, like the B3 amalgams) are expanded into that sub-tree."""
-    for node in walk_tree(tree):
-        if node.kind == "leaf":
-            inner = getattr(node.group, "tree", None)
+def walk_expanded(tree):
+    """walk_tree, with each composite leaf (a group built from its own
+    sub-tree, like the B3 amalgams) replaced by the walk of that sub-tree.
+    A stack holds one walk per composite leaf entered, not a recursion.
+    """
+    walks = [walk_tree(tree)]
+    while walks:
+        for node in walks[-1]:
+            inner = getattr(node.group, "tree", None) \
+                if node.kind == "leaf" else None
             if inner is not None:
-                yield from tree_leaves(inner)
-            else:
-                yield node
+                walks.append(walk_tree(inner))
+                break
+            yield node
+        else:
+            walks.pop()
+
+
+def tree_leaves(tree):
+    """Leaf nodes of the tree, with composite leaves expanded."""
+    return (node for node in walk_expanded(tree) if node.kind == "leaf")
 
 
 def euler_characteristic(tree):
@@ -618,14 +646,32 @@ def validate_theta(tree, theta):
 
 def _theta_check(tree, theta):
     """validate_theta's (problems, torsion_free), plus the images of the
-    tree's own generators, in the order theta lists them."""
+    tree's own generators, in the order theta lists them.  One walk, with
+    composite leaves expanded so that their amalgams are checked too;
+    leaf problems come first, then amalgam problems, then stray images.
+    """
     problems = []
+    amalgam_problems = []
     torsion_free = True
     H = theta.target
     generators = set()
-    for leaf in tree_leaves(tree):
-        sym = leaf.group.symbolic
-        names = leaf.group.generator_names
+    for node in walk_expanded(tree):
+        if node.kind == "hnn":
+            generators.add(node.stable_name)
+            continue
+        if node.kind == "product":
+            if node.amalgam_images is None:
+                continue
+            words = node.amalgam_images
+            # a missing image is reported with its leaf
+            if all(name in theta.images
+                   for word in words for name, _ in word) and \
+                    theta.apply(words[0]) != theta.apply(words[1]):
+                amalgam_problems.append(
+                    "amalgamated generators have unequal images")
+            continue
+        sym = node.group.symbolic
+        names = node.group.generator_names
         generators.update(names)
         for name in names:
             if name not in theta.images:
@@ -657,17 +703,10 @@ def _theta_check(tree, theta):
                 torsion_free = False
                 problems.append(
                     f"theta is not injective on the torsion of leaf "
-                    f"{leaf.group.label}: kernel would contain torsion")
+                    f"{node.group.label}: kernel would contain torsion")
                 break
             seen[img] = t
-    for node in walk_tree(tree):
-        if node.kind == "hnn":
-            generators.add(node.stable_name)
-        elif node.kind == "product" and node.amalgam_images is not None:
-            img1 = theta.apply(node.amalgam_images[0])
-            img2 = theta.apply(node.amalgam_images[1])
-            if img1 != img2:
-                problems.append("amalgamated generators have unequal images")
+    problems.extend(amalgam_problems)
     images = []
     for name, img in theta.images.items():
         if name in generators:

@@ -33,6 +33,18 @@ def test_parameter_validation():
         make_basic("T6", lam1=4.0)          # lambda2 missing
 
 
+@pytest.mark.parametrize("btype,kwargs", [
+    ("T1", dict(n=3, lam=4.0)),
+    ("T2", dict(lam1=4.0)),
+    ("T3", dict(n=2)),
+    ("T4", dict(n=3, lam1=4.0)),
+    ("T6", dict(lam=4.0, lam2=3.0)),
+])
+def test_parameters_of_other_types_are_rejected(btype, kwargs):
+    with pytest.raises(BasicGroupError, match="takes no parameter"):
+        make_basic(btype, **kwargs)
+
+
 def test_standard_matrices_act_as_documented():
     t3 = make_basic("T3")
     U, V = t3.gens["U"], t3.gens["V"]

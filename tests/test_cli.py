@@ -221,6 +221,27 @@ class TestParsing:
         assert run("build", [scene_file(text)]) == 2
         assert capsys.readouterr().out == f"scene error: {message}\n"
 
+    @pytest.mark.parametrize("fields,message", [
+        ("type T1\n  n 3\n  lam 4",
+         "line 6: leaf type T1 takes no field 'lam'"),
+        ("type T2\n  lam 4\n  n 5",
+         "line 6: leaf type T2 takes no field 'n'"),
+        ("type T6\n  lam 4\n  lam2 3",
+         "line 5: leaf type T6 takes no field 'lam'"),
+        ("type T4\n  lam 4", "line 3: leaf 'L': n must be an integer >= 2"),
+        ("type T7\n  lam1 4\n  lam2 3",
+         "line 3: leaf 'L': lambda3 is required"),
+        ("type T2\n  lam 1/2",
+         "line 3: leaf 'L': lambda must satisfy |lambda| > 1"),
+        ("type T1\n  n 1", "line 3: leaf 'L': n must be an integer >= 2"),
+    ], ids=["T1-lam", "T2-n", "T6-lam", "T4-no-n", "T7-no-lam3",
+            "T2-small-lam", "T1-n-1"])
+    def test_bad_leaf_parameters_are_malformed_input(self, scene_file,
+                                                     capsys, fields, message):
+        text = f"scene\n  spacing 3\nleaf L\n  {fields}\n"
+        assert run("build", [scene_file(text)]) == 2
+        assert capsys.readouterr().out == f"scene error: {message}\n"
+
     def test_theta_arity_message(self):
         with pytest.raises(SceneError, match="image takes a name and 2"):
             parse_scene("theta\n  target 2 2\n  image X 1\n")

@@ -341,13 +341,6 @@ def test_placement_chain_six_leaf_mix():
     assert any("pass to depth 3" in r.line() for r in reports)
 
 
-def test_placement_chain_uncertified_mode():
-    groups = [make_basic("T1", n=3, prefix=f"c{k}.") for k in range(4)]
-    node = chain_leaves(groups, certify=False)
-    assert node.certificate is None
-    assert euler_characteristic(node) == Fraction(4, 3) - 3
-
-
 def test_placement_respects_rotation_groups():
     node = chain_leaves([make_basic("T1", n=24, prefix="r1."),
                          make_basic("T1", n=36, prefix="r2.")])

@@ -300,6 +300,32 @@ def test_kernel_rank_ignores_images_of_non_generators():
     assert not forced.ok
 
 
+def _composite_t3_pair():
+    return make_b3([make_basic("T3", prefix="a."),
+                    make_basic("T3", prefix="b.")], [("a.U", "b.U")])
+
+
+def test_theta_is_checked_on_amalgams_inside_a_composite_leaf():
+    composite = _composite_t3_pair()
+    theta = QuotientMap(FiniteAbelianGroup((2, 2)),
+                        {"a.U": (1, 0), "a.V": (0, 1),
+                         "b.U": (0, 1), "b.V": (1, 0)})
+    unequal = ["amalgamated generators have unequal images"]
+    for tree in (composite.tree, Leaf(composite)):
+        assert validate_theta(tree, theta) == (unequal, True)
+        report = kernel_rank(tree, theta)
+        assert report.problems == unequal and not report.ok
+
+
+def test_theta_missing_amalgam_image_is_reported_not_raised():
+    composite = _composite_t3_pair()
+    theta = QuotientMap(FiniteAbelianGroup((2, 2)),
+                        {"a.V": (0, 1), "b.U": (0, 1), "b.V": (1, 0)})
+    for tree in (composite.tree, Leaf(composite)):
+        assert validate_theta(tree, theta) == \
+            (["generator 'a.U' has no image"], True)
+
+
 def test_quotient_map_word_application():
     t6 = make_basic("T6", lam1=30.0, lam2=4.0)
     theta = t6.default_theta()
