@@ -326,6 +326,20 @@ def test_theta_missing_amalgam_image_is_reported_not_raised():
             (["generator 'a.U' has no image"], True)
 
 
+def test_theta_problems_list_leaves_then_amalgams_then_strays():
+    composite = _composite_t3_pair()
+    theta = QuotientMap(FiniteAbelianGroup((2, 2)),
+                        {"x.E": (1, 1), "a.U": (1, 0), "a.V": (1, 0),
+                         "b.U": (0, 1), "b.V": (1, 0)})
+    expected = (["theta is not injective on the torsion of leaf T3: "
+                 "kernel would contain torsion",
+                 "amalgamated generators have unequal images",
+                 "theta has an image for 'x.E', which is not a generator"],
+                False)
+    for tree in (composite.tree, Leaf(composite)):
+        assert validate_theta(tree, theta) == expected
+
+
 def test_quotient_map_word_application():
     t6 = make_basic("T6", lam1=30.0, lam2=4.0)
     theta = t6.default_theta()
