@@ -22,7 +22,7 @@ from fractions import Fraction
 import cmath
 import math
 
-from .moebius import (MoebiusMap, classify, projectively_equal,
+from .moebius import (TOL, MoebiusMap, classify, projectively_equal,
                       is_identity_map, fixed_points, INF)
 from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
@@ -303,51 +303,76 @@ def _apollonius_circle(lam, imaginary=False):
 # constructors
 
 
-def _presentation(btype, n=None, lam=None, lam1=None, lam2=None, lam3=None):
-    """The declaration of one basic type: (params, free, torsion).
+def _presentation(btype, params):
+    """The declaration of one basic type: (values, free, torsion).
 
-    free maps each free generator's name to its matrix; torsion maps each
-    torsion generator's name to (matrix, order, action), with one action
-    sign per free generator: +1 where the torsion generator commutes with
-    it, -1 where it conjugates it to its inverse.
+    params holds the make_basic keywords; an absent one reads as None and
+    is reported by its check.  values are the checked parameters under
+    their label names; free maps each free generator's name to its
+    matrix; torsion maps each torsion generator's name to (matrix, order,
+    action), with one action sign per free generator: +1 where the
+    torsion generator commutes with it, -1 where it conjugates it to its
+    inverse.
     """
     if btype == "T1":
-        n = _check_n(n)
+        n = _check_n(params.get("n"))
         return {"n": n}, {}, {"E": (_rotation(n), n, ())}
     if btype == "T2":
-        lam = _check_lambda(lam)
+        lam = _check_lambda(params.get("lam"))
         return {"lambda": lam}, {"L": _scaling(lam)}, {}
     if btype == "T3":
         return {}, {}, {"U": (_NEGATE, 2, ()), "V": (_INVERT, 2, ())}
     if btype == "T4":
-        n = _check_n(n)
-        lam = _check_lambda(lam)
+        n = _check_n(params.get("n"))
+        lam = _check_lambda(params.get("lam"))
         return ({"n": n, "lambda": lam}, {"A": _scaling(lam)},
                 {"E": (_rotation(n), n, (1,))})
     if btype == "T5":
-        lam = _check_lambda(lam)
+        lam = _check_lambda(params.get("lam"))
         return ({"lambda": lam}, {"A": _scaling(lam)},
                 {"U": (_NEGATE, 2, (1,)), "V": (_INVERT, 2, (-1,))})
-    lam1 = _check_lambda(lam1, "lambda1")
-    lam2 = _check_lambda(lam2, "lambda2")
+    lam1 = _check_lambda(params.get("lam1"), "lambda1")
+    lam2 = _check_lambda(params.get("lam2"), "lambda2")
     free = {"A": _scaling(lam1), "B": _axis_loxodromic(lam2)}
     if btype == "T6":
         return ({"lambda1": lam1, "lambda2": lam2}, free,
                 {"U": (_NEGATE, 2, (1, -1)), "V": (_INVERT, 2, (-1, 1))})
-    lam3 = _check_lambda(lam3, "lambda3")
+    lam3 = _check_lambda(params.get("lam3"), "lambda3")
     free["C"] = _imaginary_axis_loxodromic(lam3)
     return ({"lambda1": lam1, "lambda2": lam2, "lambda3": lam3}, free,
             {"U": (_NEGATE, 2, (1, -1, -1)), "V": (_INVERT, 2, (-1, 1, -1))})
+
+
+def _has_order(t, order):
+    """Whether t rotates by 2 pi j / order, within TOL, for some j prime
+    to order.
+
+    The rotation is read off an eigenvalue of t's matrix, taken through
+    the discriminant (a - d)^2 + 4bc, which is exact on diagonal matrices.
+    Powering t instead gains rounding error in proportion to the order:
+    by order 10^8, the order-th power of a rotation of that order is no
+    longer the identity within TOL.
+    """
+    if not t.conformal:
+        return False
+    k = (t.a + t.d + cmath.sqrt((t.a - t.d) ** 2 + 4 * t.b * t.c)) / 2
+    mu = k * k
+    turn = cmath.phase(mu) / (2 * math.pi)
+    j = round(turn * order)
+    return (abs(abs(mu) - 1.0) <= TOL
+            and 2 * math.pi * abs(turn - j / order) <= TOL
+            and math.gcd(j, order) == 1)
 
 
 def _check_presentation(symbolic, gens):
     """Verify projectively that the matrices satisfy the presentation.
 
     Free generators must be loxodromic and torsion generators distinct
-    maps; of the relations, t^d asks t to have order exactly d, and every
-    other relator t x t^-1 x^e asks t x t^-1 to equal x^-e.  Sides are
-    compared as maps, never as a relator product against the identity,
-    which loses digits to cancellation at large multipliers.
+    maps; of the relations, t^d asks t to have order exactly d (checked
+    by _has_order, for any d), and every other relator t x t^-1 x^e asks
+    t x t^-1 to equal x^-e.  Sides are compared as maps, never as a
+    relator product against the identity, which loses digits to
+    cancellation at large multipliers.
     """
     def check(condition, message):
         if not condition:
@@ -364,7 +389,7 @@ def _check_presentation(symbolic, gens):
     for relation in symbolic.relations():
         if len(relation) == 1:
             (name, order), = relation
-            check(classify(gens[name]).order == order,
+            check(_has_order(gens[name], order),
                   f"{name} must have order {order}")
             continue
         (t, _), (x, _), _, (_, e) = relation
@@ -390,7 +415,7 @@ def make_basic(btype, *, prefix="", **params):
     for key in params:
         if key not in BASIC_PARAMETERS[btype]:
             raise BasicGroupError(f"{btype} takes no parameter {key!r}")
-    values, free, torsion = _presentation(btype, **params)
+    values, free, torsion = _presentation(btype, params)
     p = prefix
     symbolic = LeafSymbolic(
         [p + name for name in free],

@@ -461,10 +461,8 @@ def construct(scene, depth=6):
     spacing = scene.settings.get("spacing", 3.0)
     groups = {}
     for name, spec in scene.leaves:
-        kwargs = {k: v for k, v in spec.items() if k not in ("type", "frame")}
-        for key in ("lam", "lam1", "lam2", "lam3"):
-            if key in kwargs:
-                kwargs[key] = _as_value(kwargs[key])
+        kwargs = {k: v if k == "n" else _as_value(v)
+                  for k, v in spec.items() if k not in ("type", "frame")}
         try:
             group = make_basic(spec["type"], prefix=f"{name}.", **kwargs)
         except BasicGroupError as err:

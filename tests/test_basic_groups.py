@@ -452,6 +452,33 @@ def test_relation_check_catches_a_wrong_rotation_order(monkeypatch):
         make_basic("T1", n=5)
 
 
+@pytest.mark.parametrize("n", [121, 1000, 10**9])
+def test_t4_rotation_orders_past_the_elliptic_search_bound(n):
+    g = make_basic("T4", n=n, lam=4.0)
+    assert (g.rank, g.index, g.quotient.orders) == (1, n, (n,))
+
+
+@pytest.mark.parametrize("n", [121, 1000, 10**9])
+def test_t1_rotation_orders_past_the_elliptic_search_bound(n):
+    assert make_basic("T1", n=n).quotient.orders == (n,)
+
+
+@pytest.mark.parametrize("btype,kwargs,wrong", [
+    ("T1", dict(n=5), lambda n: n - 1),
+    ("T1", dict(n=6), lambda n: 2 * n),
+    ("T4", dict(n=121, lam=4.0), lambda n: n + 1),
+    ("T4", dict(n=1000, lam=4.0), lambda n: n // 2),
+])
+def test_relation_check_catches_wrong_orders_at_any_n(monkeypatch, btype,
+                                                      kwargs, wrong):
+    rotation = basic_groups._rotation
+    monkeypatch.setattr(basic_groups, "_rotation",
+                        lambda n: rotation(wrong(n)))
+    with pytest.raises(RuntimeError,
+                       match="internal relation check failed: E must have"):
+        make_basic(btype, **kwargs)
+
+
 @pytest.mark.parametrize("lam", [1e4, 1e6, 1e8, 1e10, 1e12, -1e8, 1e10j,
                                  3e11 + 4e11j])
 def test_large_multipliers_construct(lam):

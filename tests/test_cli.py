@@ -242,6 +242,12 @@ class TestParsing:
         assert run("build", [scene_file(text)]) == 2
         assert capsys.readouterr().out == f"scene error: {message}\n"
 
+    def test_rotation_order_past_the_elliptic_search_bound_builds(
+            self, scene_file, capsys):
+        path = scene_file("leaf L\n  type T4\n  n 121\n  lam 4\n")
+        assert run("build", [path]) == 0
+        assert "L.E^121 = 1" in capsys.readouterr().out
+
     def test_theta_arity_message(self):
         with pytest.raises(SceneError, match="image takes a name and 2"):
             parse_scene("theta\n  target 2 2\n  image X 1\n")
