@@ -8,7 +8,8 @@ import pytest
 
 from vskit import combination
 from vskit.moebius import MoebiusMap, INF, is_identity_map, projectively_equal
-from vskit.sphere_geometry import SphereCircle, SphereDisc, disc_image
+from vskit.sphere_geometry import (SphereCircle, SphereDisc, disc_image,
+                                   disc_relation)
 from vskit.combination import (CombinationError, Leaf, GroupData,
                                check_precisely_invariant,
                                resolve_generator_word, free_product,
@@ -51,7 +52,23 @@ def test_precise_invariance_failure_names_witness():
     t2 = make_basic("T2", lam=4.0)
     report = check_precisely_invariant(_disc(0, 2.0), None, t2)
     assert report.status == "fail"
-    assert "L" in report.witness
+    assert (report.witness, report.depth) == ("L", 6)
+
+
+@pytest.mark.parametrize("btype, params, center, radius, witness", [
+    ("T5", {"lam": 4.0}, 0.3, 0.1, "A^-1 * A^-1 * V"),
+    ("T6", {"lam1": 30.0, "lam2": 4.0}, 0.7, 0.05, "B^-1 * A^-1 * B * V"),
+    ("T6", {"lam1": 30.0, "lam2": 4.0}, 1.2, 0.05,
+     "A * B^-1 * A^-1 * B * B"),
+])
+def test_precise_invariance_failure_pins_first_witness(btype, params, center,
+                                                        radius, witness):
+    # the witness is the first failing element in BFS order, so these
+    # words pin both the listing order and each element's verdict
+    group = make_basic(btype, **params)
+    report = check_precisely_invariant(_disc(center, radius), None, group)
+    assert (report.status, report.witness, report.depth) == \
+        ("fail", witness, 6)
 
 
 def test_precise_invariance_under_product_subgroup():
@@ -242,6 +259,41 @@ def test_hnn_rejects_meeting_discs():
         hnn_extension(base, A, _disc(0, 2.5), _disc(0, 2.0, inside=False),
                       H1="e.E", H2="e.E", stable_name="e.A")
     assert "closed B1, B2 disjoint" in str(err.value)
+
+
+def _inversion_letter(c1, c2, r):
+    """z -> c2 + r^2 / (z - c1): the circle |z - c1| = r onto |z - c2| = r,
+    throwing the inside of the first onto the outside of the second."""
+    return MoebiusMap(c2, r * r - c1 * c2, 1, -c1)
+
+
+def test_hnn_drag_sweep_names_first_dragging_word():
+    base = Leaf(make_basic("T4", n=3, lam=2.0, prefix="e."))
+    c1, c2, r = 3 + 2j, -2 + 1j, 0.5
+    with pytest.raises(CombinationError) as err:
+        hnn_extension(base, _inversion_letter(c1, c2, r), _disc(c1, r),
+                      _disc(c2, r), depth=4, stable_name="s")
+    report = err.value.report
+    assert report.name == "no base word drags closed B1 onto closed B2"
+    assert (report.status, report.witness, report.depth) == \
+        ("fail", "e.A^-1 * e.E", 4)
+
+
+def test_hnn_drag_sweep_fails_on_touching_image():
+    # e.E (z -> -z) carries B1 onto a disc externally tangent to B2:
+    # tangency is not disjointness, so the sweep fails on that word
+    base = Leaf(make_basic("T1", n=2, prefix="e."))
+    c1, c2, r = 3 + 1j, -2 - 1j, 0.5
+    B1, B2 = _disc(c1, r), _disc(c2, r)
+    E = base.group.gens["e.E"]
+    assert disc_relation(disc_image(E, B1), B2) == "touching"
+    with pytest.raises(CombinationError) as err:
+        hnn_extension(base, _inversion_letter(c1, c2, r), B1, B2,
+                      stable_name="s")
+    report = err.value.report
+    assert report.name == "no base word drags closed B1 onto closed B2"
+    assert (report.status, report.witness, report.depth) == \
+        ("fail", "e.E", 6)
 
 
 def test_hnn_checks_edge_conjugation():
