@@ -34,7 +34,8 @@ from .schottky import (Check, CheckReport, DegeneratePairingError,
                        word_census)
 from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
                               SphereDisc, disc_contains, disc_image,
-                              disc_relation, inversive_product, map_circle,
+                              disc_relation, image_relation,
+                              inversive_product, map_circle,
                               spherical_diameter)
 
 __version__ = "0.1.0"
@@ -52,7 +53,8 @@ __all__ = [
     "count_reduced_words", "describe", "disc_contains", "disc_image",
     "disc_relation", "disconnectedness_report", "enumerate_elements",
     "enumerate_signatures", "euler_characteristic", "export_lines",
-    "fixed_points", "free_product", "hnn_extension", "inversive_product",
+    "fixed_points", "free_product", "hnn_extension", "image_relation",
+    "inversive_product",
     "is_identity_map", "isomorphism_type", "kernel_genus", "kernel_rank",
     "letter_discs", "make_b3", "make_basic", "map_circle", "normal_form",
     "orbifold_signature", "ping_pong_disc", "projectively_equal",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from .moebius import MoebiusMap, classify, projectively_equal, is_identity_map
 from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_image, disc_relation,
-                              map_circle)
+                              image_relation, map_circle)
 from . import group_algebra
 from .group_algebra import (symbolic_model, enumerate_elements, walk_tree,
                             walk_expanded)
@@ -280,9 +280,9 @@ def check_precisely_invariant(X, H, K, depth=6):
                              f"{display}^{k} does not fix the disc", depth)
             power = power * h_matrix
     listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
+    moved = image_relation(X, X)
     for elem, word, matrix in listed.triples:
-        if (elem not in h_set
-                and disc_relation(disc_image(matrix, X), X) == "meets"):
+        if elem not in h_set and moved(matrix) == "meets":
             return Check(name, "fail", format_word(word),
                          listed.depth_completed)
     status = "pass" if listed.exhausted else "bounded-pass"
@@ -450,9 +450,9 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
 
         listed = base_data.elements(depth, max_count=ENUMERATION_BUDGET)
         name = "no base word drags closed B1 onto closed B2"
+        drag = image_relation(B1, B2)
         dragged = next((word for _, word, matrix in listed.triples
-                        if disc_relation(disc_image(matrix, B1), B2)
-                        != "disjoint"), None)
+                        if drag(matrix) != "disjoint"), None)
         if dragged is not None:
             sweep = Check(name, "fail", format_word(dragged),
                           listed.depth_completed)

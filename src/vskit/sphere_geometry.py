@@ -256,6 +256,11 @@ def disc_image(m, disc):
     return SphereDisc(circle, _sign(raw[k] * canon[k]))
 
 
+def _inversive(A1, B1, C1, A2, B2c, C2):
+    """Inversive product of two oriented forms, the second's B conjugated."""
+    return ((B1 * B2c).real * 2.0 - A1 * C2 - A2 * C1) / 2.0
+
+
 def inversive_product(d1, d2):
     """Inversive product of two oriented discs.
 
@@ -265,7 +270,30 @@ def inversive_product(d1, d2):
     """
     A1, B1, C1 = d1.oriented()
     A2, B2, C2 = d2.oriented()
-    return ((B1 * B2.conjugate()).real * 2.0 - A1 * C2 - A2 * C1) / 2.0
+    return _inversive(A1, B1, C1, A2, B2.conjugate(), C2)
+
+
+def _relation(p, A, B, C, boundary):
+    """The three-way decision of disc_relation.
+
+    p is the inversive product of d1 and d2, (A, B, C) the oriented form
+    of d1 and boundary a point of d2's circle.  The inversive product
+    alone cannot tell two disjoint discs from two discs that jointly
+    cover the sphere (the product is invariant under flipping both
+    sides), so the low band is resolved by d1's form at that point.
+    """
+    if p > -1.0 + TOL:
+        return "meets"
+    if boundary is INF:
+        value = A
+    else:
+        value = (A * abs(boundary) ** 2
+                 + 2.0 * (B.conjugate() * boundary).real + C)
+    if value < -TOL:
+        return "meets"            # boundary of d2 inside d1: covering pair
+    if p < -1.0 - TOL:
+        return "disjoint"
+    return "touching"
 
 
 def disc_relation(d1, d2):
@@ -273,20 +301,33 @@ def disc_relation(d1, d2):
 
     'touching' means externally tangent: interiors disjoint, boundaries
     sharing one point.  It is reported separately and never folded into
-    either other answer.  The inversive product alone cannot tell two
-    disjoint discs from two discs that jointly cover the sphere (the
-    product is invariant under flipping both sides), so the low band is
-    resolved with a boundary point test.
+    either other answer.
     """
-    p = inversive_product(d1, d2)
-    if p > -1.0 + TOL:
-        return "meets"
-    boundary = d2.circle.a_point()
-    if d1.signed_eval(boundary) < -TOL:
-        return "meets"            # boundary of d2 inside d1: covering pair
-    if p < -1.0 - TOL:
-        return "disjoint"
-    return "touching"
+    A, B, C = d1.oriented()
+    return _relation(inversive_product(d1, d2), A, B, C,
+                     d2.circle.a_point())
+
+
+def image_relation(disc, other):
+    """The function m -> disc_relation(disc_image(m, disc), other).
+
+    other's oriented form and boundary point are read once, here.  Each
+    call pushes disc's oriented form through m and decides on the raw
+    image coefficients, building no circle or disc: disc_image's side
+    times its canonical coefficients is that raw form, bit for bit (the
+    canonical sign only negates), so every answer is disc_relation's.
+    """
+    A, B, C = disc.oriented()
+    A2, B2, C2 = other.oriented()
+    B2c = B2.conjugate()
+    boundary = other.circle.a_point()
+
+    def relation(m):
+        A1, B1, C1 = _pushforward(m, A, B, C)
+        return _relation(_inversive(A1, B1, C1, A2, B2c, C2), A1, B1, C1,
+                         boundary)
+
+    return relation
 
 
 def discs_disjoint(d1, d2):

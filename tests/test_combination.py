@@ -472,6 +472,46 @@ def test_normal_forms_agree_with_faithful_matrices():
         identities += trivial
     assert identities >= 360 and len(words) - identities >= 350
 
+def test_certified_chain_builds_no_disc_per_listed_element(monkeypatch):
+    # the element sweeps decide on transported forms (image_relation), so
+    # the disc objects built grow with the checks made, not with the
+    # elements listed
+    calls = {"disc_image": 0, "disc_relation": 0}
+    listed = []
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    def elements(self, depth, max_count=None):
+        out = real_elements(self, depth, max_count)
+        listed.append(len(out.triples))
+        return out
+
+    real_elements = GroupData.elements
+    for name in calls:
+        monkeypatch.setattr(combination, name,
+                            counting(name, getattr(combination, name)))
+    monkeypatch.setattr(GroupData, "elements", elements)
+
+    def build(depth):
+        for name in calls:
+            calls[name] = 0
+        listed.clear()
+        chain_leaves([make_basic("T3", prefix="a."),
+                      make_basic("T2", lam=4.0, prefix="b."),
+                      make_basic("T1", n=3, prefix="c.")], depth=depth)
+        return dict(calls), sum(listed)
+
+    shallow_calls, shallow_listed = build(3)
+    deep_calls, deep_listed = build(5)
+    assert deep_listed > 4 * shallow_listed > 0
+    assert deep_calls == shallow_calls
+    assert shallow_calls == {"disc_image": 0, "disc_relation": 0}
+
+
 def test_enumeration_budget_reports_honest_depth():
     groups = [make_basic("T3", prefix="a."),
               make_basic("T2", lam=4.0, prefix="b."),

@@ -6,15 +6,17 @@ discs |z| <= 1/2 and |z| >= 2 is (0 - 2*2 - (-1/2)(-1/2))/2 = -2.125.
 """
 
 import math
+import random
 
 import pytest
 
-from vskit.moebius import INF, MoebiusMap
+from vskit.combination import station_boundary
+from vskit.moebius import INF, TOL, MoebiusMap
 from vskit.sphere_geometry import (SphereCircle, SphereDisc, circle_separates,
                             circles_disjoint, circles_equal, disc_contains,
                             disc_relation, discs_disjoint, discs_same,
-                            inversive_product, map_circle, disc_image,
-                            spherical_diameter)
+                            image_relation, inversive_product, map_circle,
+                            disc_image, spherical_diameter)
 
 
 V = MoebiusMap(0, 1j, 1j, 0)           # z -> 1/z
@@ -189,6 +191,71 @@ class TestInversiveProduct:
         inner = SphereDisc.from_center_radius(0, 2, inside=False)
         assert disc_contains(outer, inner)
         assert not disc_contains(inner, outer)
+
+
+class TestImageRelation:
+    """image_relation(X, Y)(m) is disc_relation(disc_image(m, X), Y)."""
+
+    @staticmethod
+    def _pool():
+        half = station_boundary(1.5)
+        return [SphereDisc.from_center_radius(0, 0.5, inside=True),
+                SphereDisc.from_center_radius(1 + 1j, 0.25, inside=True),
+                SphereDisc.from_center_radius(-2 + 0.5j, 1.5, inside=True),
+                SphereDisc.from_center_radius(0, 2, inside=False),
+                SphereDisc.from_center_radius(3 - 1j, 0.75, inside=False),
+                half, half.complement(), station_boundary(-4.0)]
+
+    def test_seeded_maps_agree_with_composed_reference(self):
+        rng = random.Random(20)
+
+        def entry():
+            return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+        factors = []
+        while len(factors) < 12:
+            try:
+                factors.append(MoebiusMap(entry(), entry(), entry(), entry(),
+                                          conformal=rng.random() < 0.5))
+            except ValueError:
+                continue
+        pool = self._pool()
+        seen = {}
+        mismatches = 0
+        for _ in range(150):
+            m = MoebiusMap.identity()
+            for _ in range(rng.randint(1, 6)):
+                m = m * rng.choice(factors)
+            for X in pool:
+                for Y in pool:
+                    got = image_relation(X, Y)(m)
+                    seen[got] = seen.get(got, 0) + 1
+                    mismatches += got != disc_relation(disc_image(m, X), Y)
+        assert mismatches == 0
+        assert seen["meets"] > 1000 and seen["disjoint"] > 1000
+
+    def test_touching_pair(self):
+        X = SphereDisc.from_center_radius(0, 1, inside=True)
+        Y = SphereDisc.from_center_radius(3, 1, inside=True)
+        shift = MoebiusMap(1, 1, 0, 1)              # z -> z + 1
+        assert abs(inversive_product(disc_image(shift, X), Y) + 1.0) <= TOL
+        assert image_relation(X, Y)(shift) == "touching"
+        assert disc_relation(disc_image(shift, X), Y) == "touching"
+        # half-planes Re z > 1.5 and Re z < -4 touch at infinity
+        right, left = station_boundary(1.5), station_boundary(-4.0)
+        assert image_relation(right, left.complement())(
+            MoebiusMap.identity()) == "touching"
+
+    def test_covering_pair_meets_through_boundary_point(self):
+        # |z| >= 1/8 pushed by z -> 4z is |z| >= 1/2, which with |z| <= 2
+        # covers the sphere: the inversive product reads disjoint, the
+        # boundary point of Y inside the image says meets
+        X = SphereDisc.from_center_radius(0, 0.125, inside=False)
+        Y = SphereDisc.from_center_radius(0, 2, inside=True)
+        scale = MoebiusMap(2, 0, 0, 0.5)
+        assert inversive_product(disc_image(scale, X), Y) < -1.0 - TOL
+        assert image_relation(X, Y)(scale) == "meets"
+        assert disc_relation(disc_image(scale, X), Y) == "meets"
 
 
 class TestPredicates:
