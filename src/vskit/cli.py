@@ -100,9 +100,10 @@ class Scene:
     root: str = None
     pairing: list = field(default_factory=list)     # raw number tuples
     theta: dict = None                              # {"target":…, "images":…}
-    # (node name, field) -> line of that field, (leaf name, None) -> line
-    # of the leaf stanza, (None, "root") -> line of the root stanza; left
-    # out of equality, since an echo moves lines
+    # (leaf or node name, field) -> line of that field, (leaf name, None)
+    # -> line of the leaf stanza, (None, "root") -> line of the root
+    # stanza, (None, k) -> line of the k-th pair; left out of equality,
+    # since an echo moves lines
     lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -304,12 +305,13 @@ def parse_scene(text):
                 if value <= 0:
                     raise SceneError("spacing must be positive", lineno)
                 scene.settings["spacing"] = value
-        elif kind == "leaf":
-            scene.leaves.append((name, _parse_leaf(name, fields, line)))
-            scene.lines[(name, None)] = line
-        elif kind in ("product", "hnn"):
-            parse = _parse_product if kind == "product" else _parse_hnn
-            scene.nodes.append((kind, name, parse(name, fields, line)))
+        elif kind in ("leaf", "product", "hnn"):
+            if kind == "leaf":
+                scene.leaves.append((name, _parse_leaf(name, fields, line)))
+                scene.lines[(name, None)] = line
+            else:
+                parse = _parse_product if kind == "product" else _parse_hnn
+                scene.nodes.append((kind, name, parse(name, fields, line)))
             for lineno, key, _ in fields:
                 scene.lines[(name, key)] = lineno
         elif kind == "pairing":
@@ -318,6 +320,7 @@ def parse_scene(text):
             got = _fields_to_dict(fields, ("pair",), repeats=("pair",))
             for lineno, tokens in got.get("pair", []):
                 values = _numbers(tokens, lineno, (10, 14), "pair")
+                scene.lines[(None, len(scene.pairing))] = lineno
                 scene.pairing.append(values)
             if not scene.pairing:
                 raise SceneError("pairing stanza needs pair lines", line)
@@ -432,13 +435,17 @@ def _as_value(values):
     return values[0]
 
 
-def _as_matrix(values):
+def _as_matrix(values, what, line):
+    """The Moebius map of a matrix field; a singular one is malformed."""
     if len(values) == 8:
         entries = [complex(values[i], values[i + 1])
                    for i in range(0, 8, 2)]
     else:
         entries = list(values)
-    return MoebiusMap(*entries)
+    try:
+        return MoebiusMap(*entries)
+    except ValueError as err:
+        raise SceneError(f"{what}: {err}", line) from None
 
 
 def _as_disc(spec):
@@ -459,6 +466,7 @@ class BuiltScene:
 def construct(scene, depth=6):
     """Build all scene objects; hypothesis failures propagate as errors."""
     spacing = scene.settings.get("spacing", 3.0)
+    line_of = scene.lines.get
     groups = {}
     for name, spec in scene.leaves:
         kwargs = {k: v if k == "n" else _as_value(v)
@@ -467,9 +475,10 @@ def construct(scene, depth=6):
             group = make_basic(spec["type"], prefix=f"{name}.", **kwargs)
         except BasicGroupError as err:
             raise SceneError(f"leaf {name!r}: {err}",
-                             scene.lines.get((name, None))) from None
+                             line_of((name, None))) from None
         if "frame" in spec:
-            group = group.conjugated_by(_as_matrix(spec["frame"]))
+            group = group.conjugated_by(_as_matrix(
+                spec["frame"], "frame", line_of((name, "frame"))))
         groups[name] = group
 
     nodes = {}
@@ -481,7 +490,6 @@ def construct(scene, depth=6):
             return Leaf(groups[name])
         raise SceneError(f"unknown node {name!r}", line)
 
-    line_of = scene.lines.get
     for kind, name, spec in scene.nodes:
         if kind == "product":
             if "parts" in spec:
@@ -512,7 +520,9 @@ def construct(scene, depth=6):
                 kwargs["H1"] = spec["h1"]
             if "h2" in spec:
                 kwargs["H2"] = spec["h2"]
-            nodes[name] = hnn_extension(base, _as_matrix(spec["letter"]),
+            letter = _as_matrix(spec["letter"], "letter",
+                                line_of((name, "letter")))
+            nodes[name] = hnn_extension(base, letter,
                                         _as_disc(spec["disc1"]),
                                         _as_disc(spec["disc2"]), **kwargs)
 
@@ -522,12 +532,13 @@ def construct(scene, depth=6):
         if scene.leaves or scene.nodes:
             raise SceneError("a pairing scene cannot also declare a tree")
         pairs = []
-        for values in scene.pairing:
+        for k, values in enumerate(scene.pairing):
             C = SphereCircle.from_center_radius(
                 complex(values[0], values[1]), values[2])
             Cp = SphereCircle.from_center_radius(
                 complex(values[3], values[4]), values[5])
-            pairs.append((C, Cp, _as_matrix(values[6:])))
+            pairs.append((C, Cp, _as_matrix(values[6:], "pair",
+                                            line_of((None, k)))))
         built.system = PairingSystem(pairs)
         return built
 

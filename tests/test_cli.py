@@ -242,6 +242,23 @@ class TestParsing:
         assert run("build", [scene_file(text)]) == 2
         assert capsys.readouterr().out == f"scene error: {message}\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("leaf L\n  type T1\n  n 3\n  frame 0 0 0 0\n",
+         "line 4: frame: matrix is singular"),
+        ("hnn H\n  base none\n  letter 1 2 2 4\n  disc1 0 0 1\n"
+         "  disc2 5 0 1\n", "line 3: letter: matrix is singular"),
+        ("pairing\n  pair 0 0 1/4  0 0 4  4 0 0 1/4\n"
+         "  pair 2 0 1/4  -2 0 1/4  1 1 1 1\n",
+         "line 3: pair: matrix is singular"),
+    ], ids=["frame", "letter", "pair"])
+    def test_singular_matrix_is_malformed_input(self, scene_file, capsys,
+                                                text, message):
+        scene = parse_scene(text)
+        assert parse_scene(scene_text(scene)) == scene
+        for command in ("build", "verify"):
+            assert run(command, [scene_file(text)]) == 2
+            assert capsys.readouterr().out == f"scene error: {message}\n"
+
     def test_rotation_order_past_the_elliptic_search_bound_builds(
             self, scene_file, capsys):
         path = scene_file("leaf L\n  type T4\n  n 121\n  lam 4\n")
