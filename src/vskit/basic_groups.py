@@ -373,6 +373,11 @@ def _check_presentation(symbolic, gens):
     t x t^-1 to equal x^-e.  Sides are compared as maps, never as a
     relator product against the identity, which loses digits to
     cancellation at large multipliers.
+
+    Every torsion generator must also classify as elliptic.  A rotation
+    by a tiny angle (n past about 10^5) has a trace that classify reads
+    as parabolic, so no check downstream could tell it from one; that
+    is the parameters' fault, reported as a BasicGroupError.
     """
     def check(condition, message):
         if not condition:
@@ -382,6 +387,11 @@ def _check_presentation(symbolic, gens):
         check(classify(gens[name]).kind == "loxodromic",
               f"{name} must be loxodromic")
     names = symbolic.torsion_names
+    for name in names:
+        kind = classify(gens[name]).kind
+        if kind != "elliptic":
+            raise BasicGroupError(
+                f"{name} classifies as {kind}, not elliptic")
     for i, first in enumerate(names):
         for second in names[i + 1:]:
             check(not projectively_equal(gens[first], gens[second]),

@@ -452,15 +452,28 @@ def test_relation_check_catches_a_wrong_rotation_order(monkeypatch):
         make_basic("T1", n=5)
 
 
-@pytest.mark.parametrize("n", [121, 1000, 10**9])
+@pytest.mark.parametrize("n", [121, 1000, 10**5])
 def test_t4_rotation_orders_past_the_elliptic_search_bound(n):
     g = make_basic("T4", n=n, lam=4.0)
     assert (g.rank, g.index, g.quotient.orders) == (1, n, (n,))
+    assert classify(g.gens["E"]).kind == "elliptic"
 
 
-@pytest.mark.parametrize("n", [121, 1000, 10**9])
+@pytest.mark.parametrize("n", [121, 1000, 10**5])
 def test_t1_rotation_orders_past_the_elliptic_search_bound(n):
-    assert make_basic("T1", n=n).quotient.orders == (n,)
+    g = make_basic("T1", n=n)
+    assert g.quotient.orders == (n,)
+    assert classify(g.gens["E"]).kind == "elliptic"
+
+
+@pytest.mark.parametrize("btype,kwargs", [("T1", {}), ("T4", {"lam": 4.0})])
+@pytest.mark.parametrize("n,kind", [(10**6, "ambiguous-parabolic"),
+                                    (10**9, "parabolic")])
+def test_rotation_too_fine_to_classify_as_elliptic_is_rejected(btype, kwargs,
+                                                               n, kind):
+    with pytest.raises(BasicGroupError) as err:
+        make_basic(btype, n=n, prefix="L.", **kwargs)
+    assert str(err.value) == f"L.E classifies as {kind}, not elliptic"
 
 
 @pytest.mark.parametrize("btype,kwargs,wrong", [

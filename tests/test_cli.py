@@ -259,6 +259,15 @@ class TestParsing:
             assert run(command, [scene_file(text)]) == 2
             assert capsys.readouterr().out == f"scene error: {message}\n"
 
+    def test_rotation_read_as_parabolic_is_malformed_input(self, scene_file,
+                                                           capsys):
+        path = scene_file("scene\n  spacing 3\nleaf L\n  type T4\n"
+                          "  n 1000000000\n  lam 4\n")
+        assert run("verify", [path]) == 2
+        assert capsys.readouterr().out == (
+            "scene error: line 3: leaf 'L': "
+            "L.E classifies as parabolic, not elliptic\n")
+
     def test_rotation_order_past_the_elliptic_search_bound_builds(
             self, scene_file, capsys):
         path = scene_file("leaf L\n  type T4\n  n 121\n  lam 4\n")
