@@ -282,7 +282,7 @@ def check_precisely_invariant(X, H, K, depth=6):
     listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
     moved = image_relation(X, X)
     for elem, word, matrix in listed.triples:
-        if elem not in h_set and moved(matrix) == "meets":
+        if moved(matrix) == "meets" and elem not in h_set:
             return Check(name, "fail", format_word(word),
                          listed.depth_completed)
     status = "pass" if listed.exhausted else "bounded-pass"

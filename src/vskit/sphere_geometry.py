@@ -138,19 +138,19 @@ def _pushforward(m, A, B, C):
     the form are carried over pointwise up to a positive factor, so the
     sign of the form is preserved, not just its zero set.  M^-1 is the
     adjugate (d, -b, -c, a) of the det-1 matrix M, for either
-    orientation; an anticonformal map pushes the conjugated form.
+    orientation; an anticonformal map pushes the conjugated form.  B is
+    complex, as every form stores it.
     """
     n1, n2, n3, n4 = m.d, -m.b, -m.c, m.a
-    B = complex(B)
     if not m.conformal:
         B = B.conjugate()
     Bc = B.conjugate()
-    t11 = A * n1 + B * n3
+    n1c = n1.conjugate()
+    n3c = n3.conjugate()
     t12 = A * n2 + B * n4
-    t21 = Bc * n1 + C * n3
     t22 = Bc * n2 + C * n4
-    A2 = (n1.conjugate() * t11 + n3.conjugate() * t21).real
-    B2 = n1.conjugate() * t12 + n3.conjugate() * t22
+    A2 = (n1c * (A * n1 + B * n3) + n3c * (Bc * n1 + C * n3)).real
+    B2 = n1c * t12 + n3c * t22
     C2 = (n2.conjugate() * t12 + n4.conjugate() * t22).real
     return A2, B2, C2
 
