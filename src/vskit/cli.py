@@ -58,6 +58,7 @@ printed witness), 2 malformed input.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -435,23 +436,37 @@ def _as_value(values):
     return values[0]
 
 
+@contextmanager
+def _field_value(what, line):
+    """A field whose value its object rejects (a singular matrix, a
+    non-positive radius) is malformed input at the field's line."""
+    try:
+        yield
+    except ValueError as err:
+        raise SceneError(f"{what}: {err}", line) from None
+
+
 def _as_matrix(values, what, line):
-    """The Moebius map of a matrix field; a singular one is malformed."""
     if len(values) == 8:
         entries = [complex(values[i], values[i + 1])
                    for i in range(0, 8, 2)]
     else:
         entries = list(values)
-    try:
+    with _field_value(what, line):
         return MoebiusMap(*entries)
-    except ValueError as err:
-        raise SceneError(f"{what}: {err}", line) from None
 
 
-def _as_disc(spec):
+def _as_circle(values, what, line):
+    with _field_value(what, line):
+        return SphereCircle.from_center_radius(
+            complex(values[0], values[1]), values[2])
+
+
+def _as_disc(spec, what, line):
     cx, cy, r, side = spec
-    return SphereDisc.from_center_radius(complex(cx, cy), r,
-                                         inside=(side == "inside"))
+    with _field_value(what, line):
+        return SphereDisc.from_center_radius(complex(cx, cy), r,
+                                             inside=(side == "inside"))
 
 
 @dataclass
@@ -502,9 +517,8 @@ def construct(scene, depth=6):
                 nodes[name] = chain_leaves(parts, spacing=spacing,
                                            depth=depth)
             else:
-                wall = SphereCircle.from_center_radius(
-                    complex(spec["wall"][0], spec["wall"][1]),
-                    spec["wall"][2])
+                wall = _as_circle(spec["wall"], "wall",
+                                  line_of((name, "wall")))
                 B1 = SphereDisc(wall, 1)
                 nodes[name] = free_product(
                     resolve(spec["left"], line_of((name, "left"))),
@@ -522,9 +536,9 @@ def construct(scene, depth=6):
                 kwargs["H2"] = spec["h2"]
             letter = _as_matrix(spec["letter"], "letter",
                                 line_of((name, "letter")))
-            nodes[name] = hnn_extension(base, letter,
-                                        _as_disc(spec["disc1"]),
-                                        _as_disc(spec["disc2"]), **kwargs)
+            discs = [_as_disc(spec[key], key, line_of((name, key)))
+                     for key in ("disc1", "disc2")]
+            nodes[name] = hnn_extension(base, letter, *discs, **kwargs)
 
     built = BuiltScene(scene, groups)
 
@@ -533,12 +547,10 @@ def construct(scene, depth=6):
             raise SceneError("a pairing scene cannot also declare a tree")
         pairs = []
         for k, values in enumerate(scene.pairing):
-            C = SphereCircle.from_center_radius(
-                complex(values[0], values[1]), values[2])
-            Cp = SphereCircle.from_center_radius(
-                complex(values[3], values[4]), values[5])
-            pairs.append((C, Cp, _as_matrix(values[6:], "pair",
-                                            line_of((None, k)))))
+            line = line_of((None, k))
+            pairs.append((_as_circle(values[:3], "pair", line),
+                          _as_circle(values[3:6], "pair", line),
+                          _as_matrix(values[6:], "pair", line)))
         built.system = PairingSystem(pairs)
         return built
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 from .moebius import MoebiusMap, classify, projectively_equal, is_identity_map
 from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
-                              discs_same, disc_image, disc_relation,
-                              image_relation, map_circle)
+                              discs_same, disc_contains, disc_image,
+                              disc_relation, image_relation, map_circle)
 from . import group_algebra
 from .group_algebra import (symbolic_model, enumerate_elements, walk_tree,
                             walk_expanded)
@@ -68,6 +68,9 @@ class Leaf:
 
 class FreeProductNode:
     kind = "product"
+    # certified nodes only: ((B1, its precise-invariance check),
+    # (B2, its check)), read by a later junction's ping-pong check
+    discs = None
 
     def __init__(self, left, right, amalgam, amalgam_order, amalgam_elements,
                  amalgam_images, certificate):
@@ -259,10 +262,23 @@ def check_precisely_invariant(X, H, K, depth=6):
     of H must fix X as a set; every enumerated element outside H must
     move X off itself (open-disc disjointness, so tangency passes).
     Exhausting a finite group upgrades the outcome to an exact pass.
+
+    free_product may instead derive the trivial-H case for K = G * L,
+    a certified product with discs B1 (precisely invariant in G) and
+    B2 (in L), by ping-pong (see _ping_pong_invariance): X lies inside
+    B1, and no non-identity element of L moves X to meet X or B2.  The
+    derived [pass to depth d] means that each factor was checked to
+    depth d (G through its recorded check, L by one listing), not that
+    words of length d in G * L were listed.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    K = GroupData.coerce(K)
+    return _invariance(X, H, GroupData.coerce(K), depth)
+
+
+def _invariance(X, H, K, depth, listed=None):
+    """check_precisely_invariant on GroupData K, optionally reusing a
+    listing of K already made to this depth."""
     if H is None:
         name = "precise invariance"
         h_set = {K.model.identity(): 0}
@@ -279,7 +295,8 @@ def check_precisely_invariant(X, H, K, depth=6):
                 return Check(name, "fail",
                              f"{display}^{k} does not fix the disc", depth)
             power = power * h_matrix
-    listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
+    if listed is None:
+        listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
     moved = image_relation(X, X)
     for elem, word, matrix in listed.triples:
         if moved(matrix) == "meets" and elem not in h_set:
@@ -289,16 +306,54 @@ def check_precisely_invariant(X, H, K, depth=6):
     return Check(name, status, depth=listed.depth_completed)
 
 
+def _ping_pong_invariance(left, X, depth):
+    """X precisely invariant under {1} in `left`, derived by ping-pong.
+
+    left must be a certified trivial-amalgam product G * L with discs
+    B1 (precisely invariant in G) and B2, the complement of B1
+    (precisely invariant in L).  If X lies in B1 and no non-identity
+    element l of L has l(X) meeting X (a) or B2 (b), then every reduced
+    word g moves X off itself.  A letter from G carries B1 into B2; one
+    from L carries B2 into B1 and, by (b), X into B1.  So g(X) lies in
+    B2 when g's first letter (leftmost) is from G; in l(B2), which
+    misses X by (b) for l^-1, when it is l followed by other letters;
+    and off X by (a) when g = l.  Only L is listed, to `depth`.
+
+    The status is the weakest of the two recorded checks and this
+    listing, the depth the smallest.  Returns None when left is not such
+    a node, X is not in B1, or (a) or (b) fails: the caller then lists
+    the whole of left.
+    """
+    if left.kind != "product" or left.discs is None \
+            or left.amalgam is not None:
+        return None
+    (B1, b1_check), (B2, b2_check) = left.discs
+    if not disc_contains(B1, X):
+        return None
+    listed = GroupData.from_node(left.right).elements(
+        depth, max_count=ENUMERATION_BUDGET)
+    onto_x = image_relation(X, X)
+    onto_b2 = image_relation(X, B2)
+    for _, word, matrix in listed.triples:
+        if word and (onto_x(matrix) == "meets"
+                     or onto_b2(matrix) == "meets"):
+            return None
+    exact = listed.exhausted and b1_check.status == b2_check.status == "pass"
+    return Check("precise invariance", "pass" if exact else "bounded-pass",
+                 depth=min(b1_check.depth, b2_check.depth,
+                           listed.depth_completed))
+
+
 def _element_order_in(model, g, cap=64):
     closure = _cyclic_closure(model, g, cap)
     return None if closure is None else max(len(closure), 1)
 
 
-def _require_invariant(report, disc, X, H, data, depth, where):
-    """Record the precise invariance of disc X under H in a factor."""
-    check = check_precisely_invariant(X, H, data, depth)
-    report.checks.append(
-        _require(replace(check, name=f"{disc} {check.name} in {where}")))
+def _require_invariant(report, disc, check, where):
+    """Record the precise invariance of a disc in a factor; return it."""
+    check = _require(replace(check, name=f"{disc} {check.name} in {where}"))
+    report.checks.append(check)
+    return check
 
 
 def _word_of_names(spec):
@@ -315,6 +370,13 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     precisely invariant under the amalgam in the left group and B2 in
     the right group.  Any failed hypothesis raises CombinationError with
     the failing check attached.
+
+    When the amalgam is trivial and left is itself a certified
+    trivial-amalgam product G * L with discs (C1, C2), B1's invariance
+    in left is derived by ping-pong from C1's and C2's recorded checks
+    and one listing of L, provided B1 lies in C1 and no non-identity
+    element of L moves B1 to meet B1 or C2.  Otherwise, and whenever
+    that derivation fails, the whole left group is listed.
     """
     left = as_node(left)
     right = as_node(right)
@@ -359,12 +421,18 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
         report.add("amalgamated generators agree (matrices, order "
                    f"{amalgam_order})", True)
 
-    _require_invariant(report, "B1", B1, h_left, left_data, depth,
-                       "left factor")
-    _require_invariant(report, "B2", B2, h_right, right_data, depth,
-                       "right factor")
-    return FreeProductNode(left, right, amalgam, amalgam_order,
+    b1_check = (_ping_pong_invariance(left, B1, depth)
+                if h_left is None else None)
+    if b1_check is None:
+        b1_check = _invariance(B1, h_left, left_data, depth)
+    b1_check = _require_invariant(report, "B1", b1_check, "left factor")
+    b2_check = _require_invariant(
+        report, "B2", _invariance(B2, h_right, right_data, depth),
+        "right factor")
+    node = FreeProductNode(left, right, amalgam, amalgam_order,
                            amalgam_elements, amalgam_images, report)
+    node.discs = ((B1, b1_check), (B2, b2_check))
+    return node
 
 
 def uncertified_free_product(left, right):
@@ -445,10 +513,15 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
             lambda: f"A^-1 {H2} A is not a generator of <{H1}>"))
 
     if base_data is not None:
-        _require_invariant(report, "B1", B1, H1, base_data, depth, "base")
-        _require_invariant(report, "B2", B2, H2, base_data, depth, "base")
-
+        # one listing serves both invariance checks and the drag sweep
         listed = base_data.elements(depth, max_count=ENUMERATION_BUDGET)
+        _require_invariant(report, "B1",
+                           _invariance(B1, H1, base_data, depth, listed),
+                           "base")
+        _require_invariant(report, "B2",
+                           _invariance(B2, H2, base_data, depth, listed),
+                           "base")
+
         name = "no base word drags closed B1 onto closed B2"
         drag = image_relation(B1, B2)
         dragged = next((word for _, word, matrix in listed.triples

@@ -103,8 +103,9 @@ root P
 """
 
 
-# perfbench's slowest certify scene: two T4s and two T1s auto-placed; the
-# last left-factor sweep is cut by the enumeration budget at depth 4
+# perfbench's slowest certify scene: two T4s and two T1s auto-placed; each
+# left-factor junction is derived by ping-pong from the chain's recorded
+# checks and one leaf listed to depth 6
 CHAIN4 = """\
 leaf h1
   type T4
@@ -255,6 +256,23 @@ class TestParsing:
                                                 text, message):
         scene = parse_scene(text)
         assert parse_scene(scene_text(scene)) == scene
+        for command in ("build", "verify"):
+            assert run(command, [scene_file(text)]) == 2
+            assert capsys.readouterr().out == f"scene error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        (WALL_PRODUCT.replace("wall 2 0 1", "wall 2 0 0"),
+         "line 14: wall: radius must be positive"),
+        ("hnn H\n  base none\n  letter 4 0 0 1/4\n  disc1 0 0 -1 inside\n"
+         "  disc2 0 0 4 outside\n", "line 4: disc1: radius must be positive"),
+        ("hnn H\n  base none\n  letter 4 0 0 1/4\n  disc1 0 0 1/4 inside\n"
+         "  disc2 0 0 0 outside\n", "line 5: disc2: radius must be positive"),
+        ("pairing\n  pair 0 0 1/4  0 0 4  4 0 0 1/4\n"
+         "  pair 17/15 0 8/15  -17/15 0 -8/15  17/8 -15/8 -15/8 17/8\n",
+         "line 3: pair: radius must be positive"),
+    ], ids=["wall", "disc1", "disc2", "pair"])
+    def test_non_positive_radius_is_malformed_input(self, scene_file, capsys,
+                                                    text, message):
         for command in ("build", "verify"):
             assert run(command, [scene_file(text)]) == 2
             assert capsys.readouterr().out == f"scene error: {message}\n"
@@ -476,7 +494,7 @@ SphereCircle(center=-1.13333+0j, radius=0.533333)
 [exact-pass] B1 precise invariance in left factor
 [exact-pass] B2 precise invariance in right factor
 [exact-pass] B1, B2 complementary discs with common boundary
-[pass to depth 6] B1 precise invariance in left factor
+[exact-pass] B1 precise invariance in left factor
 [pass to depth 6] B2 precise invariance in right factor
 6 checks, 0 failures
 """),
@@ -537,7 +555,7 @@ class TestGoldenOutput:
             "    [exact-pass] B2 precise invariance in right factor\n"
             "    [exact-pass] B1, B2 complementary discs with common "
             "boundary\n"
-            "    [pass to depth 4] B1 precise invariance in left factor\n"
+            "    [pass to depth 6] B1 precise invariance in left factor\n"
             "    [exact-pass] B2 precise invariance in right factor\n"
             "# normalized scene\n"
             "leaf h1\n"

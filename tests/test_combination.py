@@ -21,6 +21,7 @@ from vskit.combination import (CombinationError, Leaf, GroupData,
 from vskit.group_algebra import (euler_characteristic, is_identity_word,
                                  normal_form, symbolic_model, tree_leaves)
 from vskit.basic_groups import make_b3, make_basic
+from vskit.cyclic_case import CyclicSignature, build_cyclic
 
 
 def _disc(center, radius, inside=True):
@@ -232,6 +233,36 @@ def test_hnn_extension_of_rotation_group():
                for rel in assembled.relations)
 
 
+def test_hnn_extension_lists_its_base_once(monkeypatch):
+    def build():
+        base = Leaf(make_basic("T1", n=3, prefix="e."))
+        return hnn_extension(base, MoebiusMap(2, 0, 0, 0.5), _disc(0, 0.5),
+                             _disc(0, 2.0, inside=False), H1="e.E",
+                             H2="e.E", stable_name="e.A")
+
+    lines = [c.line() for c in build().certificate.checks]
+    calls = []
+    real_elements = GroupData.elements
+
+    def elements(self, depth, max_count=None):
+        calls.append(depth)
+        return real_elements(self, depth, max_count)
+
+    monkeypatch.setattr(GroupData, "elements", elements)
+    # the B1 and B2 invariance checks and the drag sweep share one listing
+    assert [c.line() for c in build().certificate.checks] == lines
+    assert calls == [6]
+    assert lines == [
+        "[exact-pass] stable letter is loxodromic",
+        "[exact-pass] A(Sigma1) = Sigma2",
+        "[exact-pass] A(B1) disjoint from B2",
+        "[exact-pass] closed B1, B2 disjoint",
+        "[exact-pass] A^-1 H2 A = H1",
+        "[exact-pass] B1 precise invariance under <e.E> in base",
+        "[exact-pass] B2 precise invariance under <e.E> in base",
+        "[exact-pass] no base word drags closed B1 onto closed B2"]
+
+
 def test_hnn_with_trivial_base_is_z():
     node = hnn_extension(None, MoebiusMap(2, 0, 0, 0.5),
                          _disc(0, 0.5), _disc(0, 2.0, inside=False),
@@ -389,8 +420,15 @@ def test_placement_chain_six_leaf_mix():
     reports = [r for cert in node_certificates(node) for r in cert.checks]
     assert len(reports) == 15
     assert all(r.ok for r in reports)
-    # wide assemblies hit the enumeration budget; the certificate says so
-    assert any("pass to depth 3" in r.line() for r in reports)
+    # junctions 2-3 are derived by ping-pong to depth 6; the slow p4.L
+    # moves the next separator onto B2, so junction 4 lists the whole
+    # chain (cut by the budget at depth 4) and junction 5 inherits that
+    assert [r.depth for r in reports if r.name.endswith("left factor")] \
+        == [6, 6, 6, 4, 4]
+    # a wide listing hits the enumeration budget; the check says so
+    X = station_boundary(chain.right_edge + chain.spacing)
+    wide = check_precisely_invariant(X, None, GroupData.from_node(node))
+    assert wide.line() == "[pass to depth 3] precise invariance"
 
 
 def test_placement_respects_rotation_groups():
@@ -475,7 +513,7 @@ def test_normal_forms_agree_with_faithful_matrices():
 def test_certified_chain_builds_no_disc_per_listed_element(monkeypatch):
     # the element sweeps decide on transported forms (image_relation), so
     # the disc objects built grow with the checks made, not with the
-    # elements listed
+    # elements listed; the T6 leaf's listing grows ~3x per level
     calls = {"disc_image": 0, "disc_relation": 0}
     listed = []
 
@@ -500,7 +538,7 @@ def test_certified_chain_builds_no_disc_per_listed_element(monkeypatch):
         for name in calls:
             calls[name] = 0
         listed.clear()
-        chain_leaves([make_basic("T3", prefix="a."),
+        chain_leaves([make_basic("T6", lam1=30.0, lam2=4.0, prefix="a."),
                       make_basic("T2", lam=4.0, prefix="b."),
                       make_basic("T1", n=3, prefix="c.")], depth=depth)
         return dict(calls), sum(listed)
@@ -522,3 +560,141 @@ def test_enumeration_budget_reports_honest_depth():
     assert not listed.exhausted
     assert 1 <= listed.depth_completed < 6
     assert len(listed.triples) <= 500
+
+
+# ---------------------------------------------------------------------------
+# chain junctions derived by ping-pong
+
+
+def _compare_junctions(monkeypatch):
+    """At each junction whose left factor is a certified product, record
+    (ping-pong check or None, listing of the whole left factor)."""
+    seen = []
+    derive = combination._ping_pong_invariance
+
+    def both_ways(left, X, depth):
+        derived = derive(left, X, depth)
+        if left.kind == "product" and left.discs is not None:
+            seen.append((derived, check_precisely_invariant(
+                X, None, GroupData.from_node(left), depth)))
+        return derived
+
+    monkeypatch.setattr(combination, "_ping_pong_invariance", both_ways)
+    return seen
+
+
+# the certified chains built elsewhere in the suite, CLI scenes included
+SUITE_CHAINS = [
+    ("CHAIN3", [("T1", {"n": 2}), ("T1", {"n": 3}), ("T2", {"lam": 4.0})]),
+    ("CHAIN4", [("T4", {"n": 2, "lam": 4.0}), ("T4", {"n": 2, "lam": 4.0}),
+                ("T1", {"n": 3}), ("T1", {"n": 3})]),
+    ("six-leaf-mix", [("T2", {"lam": 2.0}), ("T1", {"n": 7}),
+                      ("T5", {"lam": 4.0}), ("T2", {"lam": 1.5}),
+                      ("T4", {"n": 3, "lam": 2.0}),
+                      ("T6", {"lam1": 30.0, "lam2": 4.0})]),
+    ("faithful-depth-3", [("T3", {}), ("T2", {"lam": 4.0}),
+                          ("T1", {"n": 3})]),
+    ("normal-forms", [("T4", {"n": 2, "lam": 4.0}), ("T1", {"n": 3}),
+                      ("T2", {"lam": 4.0}), ("T1", {"n": 2})]),
+    ("disc-count", [("T6", {"lam1": 30.0, "lam2": 4.0}),
+                    ("T2", {"lam": 4.0}), ("T1", {"n": 3})]),
+]
+
+
+@pytest.mark.parametrize("leaves", [leaves for _, leaves in SUITE_CHAINS],
+                         ids=[name for name, _ in SUITE_CHAINS])
+def test_ping_pong_agrees_with_listing_on_suite_chains(monkeypatch, leaves):
+    seen = _compare_junctions(monkeypatch)
+    chain_leaves([make_basic(btype, prefix=f"x{k}.", **params)
+                  for k, (btype, params) in enumerate(leaves)])
+    assert seen and any(derived for derived, _ in seen)
+    for derived, full in seen:
+        assert derived is None or full.ok, full.line()
+
+
+@pytest.mark.parametrize("sig", [CyclicSignature(2, a=2, c=7),
+                                 CyclicSignature(4, a=1, c=2,
+                                                 n_orders=(4,))],
+                         ids=["9-leaf", "4-leaf"])
+def test_ping_pong_agrees_with_listing_on_cyclic_builds(monkeypatch, sig):
+    seen = _compare_junctions(monkeypatch)
+    build_cyclic(sig)
+    assert len(seen) == sig.leaf_count - 2
+    for derived, full in seen:
+        assert derived is not None and full.ok, full.line()
+
+
+def _random_leaf(rng, prefix):
+    btype = rng.choice(["T1", "T2", "T3", "T4"])
+    if btype == "T1":
+        return make_basic("T1", n=rng.randint(2, 6), prefix=prefix)
+    if btype == "T2":
+        return make_basic("T2", lam=rng.choice([1.5, 2.0, 4.0, 8.0]),
+                          prefix=prefix)
+    if btype == "T3":
+        return make_basic("T3", prefix=prefix)
+    return make_basic("T4", n=rng.randint(2, 4),
+                      lam=rng.choice([1.5, 2.0, 4.0]), prefix=prefix)
+
+
+def test_ping_pong_never_passes_where_listing_finds_a_witness(monkeypatch):
+    # tight spacings make many junctions fail (and the chain retry with
+    # wider gaps), so both verdicts of the listing are exercised
+    seen = _compare_junctions(monkeypatch)
+    for seed in range(10):
+        rng = random.Random(seed)
+        chain = PlacementChain(spacing=rng.choice([0.2, 0.3, 0.4, 1.0, 3.0]),
+                               depth=4)
+        try:
+            for k in range(rng.randint(3, 5)):
+                chain.append(_random_leaf(rng, f"x{k}."))
+        except CombinationError:
+            pass
+    derived_passes = [full for derived, full in seen if derived is not None]
+    listing_fails = [full for derived, full in seen
+                     if derived is None and not full.ok]
+    assert len(derived_passes) >= 10 and len(listing_fails) >= 10
+    for full in derived_passes:
+        assert full.ok, full.line()
+
+
+def test_failed_ping_pong_falls_back_to_the_whole_listing():
+    # a.E * b.A^-1 moves X onto itself: the witness spans both leaves of
+    # the left factor, so only the listing of the whole chain can name it
+    chain = PlacementChain()
+    chain.append(make_basic("T1", n=3, prefix="a."))
+    chain.append(make_basic("T4", n=2, lam=4.0, prefix="b."))
+    X = station_boundary(chain.right_edge + 2.0)
+    assert combination._ping_pong_invariance(chain.node, X, 6) is None
+    placed = chain._placed(make_basic("T1", n=2, prefix="c."),
+                           chain.right_edge + 4.0)
+    with pytest.raises(CombinationError) as err:
+        free_product(chain.node, Leaf(placed), None, X, X.complement())
+    listed = check_precisely_invariant(X, None,
+                                       GroupData.from_node(chain.node))
+    assert err.value.report.witness == listed.witness == "a.E * b.A^-1"
+    assert str(err.value) == err.value.report.line() == (
+        "[FAIL] B1 precise invariance in left factor: "
+        "witness a.E * b.A^-1")
+    assert err.value.report.depth == listed.depth == 6
+
+
+def test_certified_chain_lists_one_leaf_per_listing(monkeypatch):
+    # a counter, not a clock: a regression to whole-chain listings of
+    # the left factor lists several leaves' generators at once
+    listed = []
+    real_elements = GroupData.elements
+
+    def elements(self, depth, max_count=None):
+        listed.append(frozenset(self.matrices))
+        return real_elements(self, depth, max_count)
+
+    monkeypatch.setattr(GroupData, "elements", elements)
+    built = build_cyclic(CyclicSignature(2, a=2, c=7))
+    leaves = {frozenset(group.gens) for group in built.groups}
+    assert len(leaves) == 9
+    assert listed and all(names in leaves for names in listed)
+    lines = [c.line() for cert in node_certificates(built.tree)
+             for c in cert.checks if c.name.endswith("left factor")]
+    assert lines == ["[pass to depth 6] B1 precise invariance in left "
+                     "factor"] * 8
