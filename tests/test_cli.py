@@ -609,6 +609,28 @@ class TestGoldenOutput:
         assert capsys.readouterr().out.replace(str(out), "OUT") == expected
         assert hashlib.sha256(out.read_bytes()).hexdigest() == svg_sha256
 
+    @pytest.mark.parametrize("n,g_max,records,sha256", [
+        (2, 70, 16871,
+         "cec3c84ac113a66aae02305810735716320aef1eb69ea7d7e1e3df2b75795d04"),
+        (9, 120, 17188,
+         "9eb9c7f8011695e6767d2b9f9084b8d2a67feda97e9d5bf491c6abab5ce8325d"),
+        (12, 60, 20623,
+         "479ece1ce74ec006c1df46d759fbb67baf5fa1408063bc54918b35177bf8047a"),
+        (2, 0, 1,
+         "9b4417d9b9e9b754945323f2bbb3670833bbeb58fb68f3a14a34825c586c8d42"),
+        (3, 0, 1,
+         "db7357e63e52d5ab0204911055bda54045ec9790019e9fb0310707018defe946"),
+        (4, 1, 4,
+         "b46b7944f1a09ab5a474fd53a5adb0dddf81563d0fb06fc3555d9c2fb6767676"),
+        (13, 30, 19,
+         "5378ee1c285ba8338db2056dc465df5ffd26f00befa3416ceb72540368c4ea55"),
+    ])
+    def test_enumerate_cyclic_bytes(self, capsys, n, g_max, records, sha256):
+        assert run("enumerate-cyclic", [str(n), str(g_max)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == records
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_combination_error_message_is_the_failing_line(self):
         with pytest.raises(CombinationError) as info:
             construct(parse_scene(HNN_WRONG_IMAGE))
