@@ -19,7 +19,7 @@ from .combination import (AssembledGroup, CombinationError, GroupData, Leaf,
                           uncertified_free_product)
 from .cyclic_case import (CyclicConstruction, CyclicSignature, build_cyclic,
                           describe, enumerate_signatures, isomorphism_type,
-                          kernel_genus)
+                          kernel_genus, stream_signatures)
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
                             RankReport, enumerate_elements,
                             euler_characteristic, kernel_rank, normal_form,
@@ -60,6 +60,7 @@ __all__ = [
     "orbifold_signature", "ping_pong_disc", "projectively_equal",
     "reduced_words", "render", "resolve_generator_word", "sample",
     "sphere_point", "spherical_diameter", "station_boundary",
-    "station_frame", "symbolic_model", "uncertified_free_product",
+    "station_frame", "stream_signatures", "symbolic_model",
+    "uncertified_free_product",
     "validate_theta", "verify_pairing", "word_census",
 ]

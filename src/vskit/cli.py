@@ -66,7 +66,7 @@ from .basic_groups import (BASIC_PARAMETERS, BASIC_TYPES, BasicGroupError,
                            OrbifoldSignature, make_basic, orbifold_signature)
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
                           free_product, hnn_extension)
-from .cyclic_case import describe, enumerate_signatures
+from .cyclic_case import describe, stream_signatures
 from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
                             walk_tree)
 from .limitset import disconnectedness_report, render, sample
@@ -682,7 +682,7 @@ def _cmd_limitset(ns):
 def _cmd_enumerate(ns):
     if ns.n < 2 or ns.g_max < 0:
         raise SceneError("need n >= 2 and g_max >= 0")
-    for sig in enumerate_signatures(ns.n, ns.g_max):
+    for sig in stream_signatures(ns.n, ns.g_max):
         print(describe(sig))
     return 0
 

@@ -26,8 +26,8 @@ from .combination import (Leaf, PlacementChain, station_frame,
 from .group_algebra import FiniteAbelianGroup, QuotientMap, kernel_rank
 
 __all__ = ["CyclicSignature", "CyclicConstruction", "kernel_genus",
-           "enumerate_signatures", "build_cyclic", "isomorphism_type",
-           "describe"]
+           "stream_signatures", "enumerate_signatures", "build_cyclic",
+           "isomorphism_type", "describe"]
 
 
 def _check_count(value, tag):
@@ -143,46 +143,71 @@ class CyclicSignature:
         return self.a + self.b + self.c + self.d
 
 
-def enumerate_signatures(n, g_max):
-    """Every admissible signature over Z_n with genus at most g_max.
+def stream_signatures(n, g_max):
+    """Every admissible signature over Z_n with genus at most g_max, lazily.
 
-    Complete and deterministic: each unit of a or b adds n to the genus,
-    each involution adds n/2 and each elliptic factor of order v adds
-    n - n/v, so the loop bounds below cover all candidates and an exact
-    genus filter discards the overshoot.  Sorted by
-    (g, a, b, c, d, m_orders, n_orders).
+    The arguments are checked at the call, before any record.  Records
+    then come one genus shell at a time, g = 0, ..., g_max, each shell
+    sorted on its own, so the stream is in (g, a, b, c, d, m_orders,
+    n_orders) order and memory is bounded by one shell.  Complete: each
+    unit of a or b adds n to the genus, each involution adds n/2 and
+    each elliptic factor of order v adds n - n/v, so a shell joins every
+    (a, b, c) whose part of twice the genus fits with the elliptic-order
+    combinations making up the rest.  Those combinations are built only
+    up to the d that the current shell needs.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError("n must be an integer >= 2")
     _check_count(g_max, "g_max")
+    return _shells(n, g_max)
+
+
+def _shells(n, g_max):
     m_divs = [m for m in range(2, n + 1) if n % m == 0]
     e_divs = [v for v in range(3, n + 1) if n % v == 0]
-    amax = (g_max - 1) // n + 1
-    cmax = (2 * (g_max - 1)) // n + 2 if n % 2 == 0 else 0
-    e_combos = [((), 0)]
-    if e_divs:
-        step = n - n // min(e_divs)
-        dmax = (g_max + n - 1) // step
-        e_combos = [(orders, 2 * n * d - 2 * sum(n // v for v in orders))
-                    for d in range(dmax + 1)
-                    for orders in combinations_with_replacement(e_divs, d)]
-    out = []
-    for a in range(amax + 1):
-        for b in range(amax - a + 1):
-            m_combos = list(combinations_with_replacement(m_divs, b))
-            for c in range(cmax + 1):
-                base = 2 * n * (a + b - 1) + n * c + 2  # twice the d=0 genus
-                for orders, bump in e_combos:
-                    twice = base + bump
-                    if twice % 2 or not 0 <= twice <= 2 * g_max:
-                        continue
-                    if _admissibility_problems(n, a, b, c, orders):
-                        continue
-                    for m_orders in m_combos:
-                        out.append(CyclicSignature(
-                            n, a=a, c=c, m_orders=m_orders, n_orders=orders))
-    out.sort(key=lambda s: (s.g, s.a, s.b, s.c, s.d, s.m_orders, s.n_orders))
-    return out
+    # share of twice the genus -> the elliptic-order tuples adding it
+    e_combos = {0: [()]}
+    built_d = 0
+    m_combos = {}
+    for g in range(g_max + 1):
+        # a d-tuple's share is at least d * 2 (n - n/min order), and a
+        # shell needs shares up to 2g + 2n - 2 (a = b = c = 0)
+        need_d = (g + n - 1) // (n - n // e_divs[0]) if e_divs else 0
+        while built_d < need_d:
+            built_d += 1
+            for orders in combinations_with_replacement(e_divs, built_d):
+                share = 2 * n * built_d - 2 * sum(n // v for v in orders)
+                e_combos.setdefault(share, []).append(orders)
+        amax = (g - 1) // n + 1
+        shell = []
+        for a in range(amax + 1):
+            for b in range(amax - a + 1):
+                if b not in m_combos:
+                    m_combos[b] = list(
+                        combinations_with_replacement(m_divs, b))
+                base = 2 * n * (a + b - 1) + 2  # twice the c=d=0 genus
+                cmax = (2 * g - base) // n if n % 2 == 0 else 0
+                for c in range(cmax + 1):
+                    for orders in e_combos.get(2 * g - base - n * c, ()):
+                        if _admissibility_problems(n, a, b, c, orders):
+                            continue
+                        shell.extend((a, b, c, len(orders), m_orders, orders)
+                                     for m_orders in m_combos[b])
+        shell.sort()
+        for a, _, c, _, m_orders, orders in shell:
+            yield CyclicSignature(n, a=a, c=c, m_orders=m_orders,
+                                  n_orders=orders)
+
+
+def enumerate_signatures(n, g_max):
+    """Every admissible signature over Z_n with genus at most g_max.
+
+    The list of `stream_signatures(n, g_max)`: complete, deterministic,
+    in (g, a, b, c, d, m_orders, n_orders) order.  Built one genus shell
+    at a time and sorted per shell; use the stream itself to hold only
+    one shell in memory.
+    """
+    return list(stream_signatures(n, g_max))
 
 
 def isomorphism_type(sig):

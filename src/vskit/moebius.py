@@ -186,15 +186,6 @@ class MoebiusMap:
                 f"{self.c:.6g}, {self.d:.6g}{tag})")
 
 
-def compose(m1, m2):
-    """Composition m1 after m2."""
-    return m1 * m2
-
-
-def apply(m, p):
-    return m(p)
-
-
 def _projective_gap(m1, m2):
     e1 = m1.entries
     e2 = m2.entries

@@ -5,12 +5,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from vskit import cyclic_case
 from vskit.cli import _tree_signature
 from vskit.combination import (CombinationError, GroupData, assemble,
                                node_certificates)
 from vskit.cyclic_case import (CyclicSignature, build_cyclic, describe,
                                enumerate_signatures, isomorphism_type,
-                               kernel_genus)
+                               kernel_genus, stream_signatures)
 from vskit.group_algebra import (FreeProductModel, enumerate_elements,
                                  normal_form, symbolic_model)
 from vskit.limitset import sample
@@ -85,6 +86,41 @@ class TestEnumeration:
             enumerate_signatures(3, -1)
         with pytest.raises(ValueError):
             enumerate_signatures(3.0, 5)
+
+    @pytest.mark.parametrize("n,g_max", [(1, 5), (3, -1), (3.0, 5)])
+    def test_stream_validates_at_the_call(self, n, g_max):
+        # raised by the call itself, before any record is asked for
+        with pytest.raises(ValueError):
+            stream_signatures(n, g_max)
+
+    def test_stream_is_one_shell_at_a_time(self, monkeypatch):
+        # work before the first record must not grow with g_max: count
+        # the records built and the order tuples drawn until it arrives
+        built = []
+        drawn = []
+
+        class Counted(CyclicSignature):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        def counted_combinations(items, k):
+            for combo in combinations_with_replacement(items, k):
+                drawn.append(combo)
+                yield combo
+
+        monkeypatch.setattr(cyclic_case, "CyclicSignature", Counted)
+        monkeypatch.setattr(cyclic_case, "combinations_with_replacement",
+                            counted_combinations)
+        before_first = []
+        for g_max in (60, 120):
+            del built[:], drawn[:]
+            first = next(stream_signatures(12, g_max))
+            before_first.append((len(built), len(drawn)))
+            assert first.g == 0
+        g0_shell = len(enumerate_signatures(12, 0))
+        assert before_first[0] == before_first[1]
+        assert before_first[0][0] <= g0_shell
 
     def test_full_listing_small_n(self):
         assert [describe(s) for s in enumerate_signatures(2, 1)] == [
