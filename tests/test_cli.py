@@ -626,6 +626,14 @@ class TestGoldenOutput:
          "b46b7944f1a09ab5a474fd53a5adb0dddf81563d0fb06fc3555d9c2fb6767676"),
         (13, 30, 19,
          "5378ee1c285ba8338db2056dc465df5ffd26f00befa3416ceb72540368c4ea55"),
+        (4, 50, 19511,
+         "fd9cfc9708326715e2d2557b9dea95d22e1709f1d78748f5588d85d5f563414a"),
+        (6, 46, 18603,
+         "c37e6de2078613e3512221e0cbabfc9ddf06e8c0f251ba53448afd4ba576f1e1"),
+        (8, 62, 17133,
+         "420d812db7ac4663c832b19ad2f1d3b9f966c11ec5e98d99893acc05820a9e6b"),
+        (10, 78, 16659,
+         "02f15a71abe1a680e9ca741e1247774e6ce60b28bd61b93f2528f782651b2420"),
     ])
     def test_enumerate_cyclic_bytes(self, capsys, n, g_max, records, sha256):
         assert run("enumerate-cyclic", [str(n), str(g_max)]) == 0
