@@ -114,6 +114,20 @@ class CyclicSignature:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "_g", twice // 2)
 
+    @classmethod
+    def _trusted(cls, n, a, c, m_orders, n_orders, g):
+        """Build a record whose fields are already known to be admissible.
+
+        For the enumerator only: its loop draws the order tuples sorted
+        from the divisors of n in range, keeps only counts that pass the
+        admissibility clauses, and knows the genus from the shell it is
+        filling, so every check of __post_init__ would pass.
+        """
+        obj = cls.__new__(cls)
+        obj.__dict__.update(n=n, a=a, c=c, m_orders=m_orders,
+                            n_orders=n_orders, _g=g)
+        return obj
+
     @property
     def b(self):
         return len(self.m_orders)
@@ -169,6 +183,7 @@ def _shells(n, g_max):
     e_combos = {0: [()]}
     built_d = 0
     m_combos = {}
+    make = CyclicSignature._trusted
     for g in range(g_max + 1):
         # a d-tuple's share is at least d * 2 (n - n/min order), and a
         # shell needs shares up to 2g + 2n - 2 (a = b = c = 0)
@@ -195,8 +210,7 @@ def _shells(n, g_max):
                                      for m_orders in m_combos[b])
         shell.sort()
         for a, _, c, _, m_orders, orders in shell:
-            yield CyclicSignature(n, a=a, c=c, m_orders=m_orders,
-                                  n_orders=orders)
+            yield make(n, a, c, m_orders, orders, g)
 
 
 def enumerate_signatures(n, g_max):
@@ -221,13 +235,12 @@ def isomorphism_type(sig):
 
 def describe(sig):
     """One-line record for enumeration listings."""
-    m = ",".join(str(x) for x in sig.m_orders)
-    e = ",".join(str(x) for x in sig.n_orders)
-    line = (f"g={sig.g} a={sig.a} b={sig.b} c={sig.c} d={sig.d} "
-            f"m_orders=[{m}] n_orders=[{e}] K = {isomorphism_type(sig)}")
-    if sig.elementary:
-        line += " [elementary]"
-    return line
+    m_orders, n_orders, g = sig.m_orders, sig.n_orders, sig._g
+    line = (f"g={g} a={sig.a} b={len(m_orders)} c={sig.c} d={len(n_orders)} "
+            f"m_orders=[{','.join(map(str, m_orders))}] "
+            f"n_orders=[{','.join(map(str, n_orders))}] "
+            f"K = {isomorphism_type(sig)}")
+    return line + " [elementary]" if g <= 1 else line
 
 
 @dataclass(frozen=True)

@@ -95,21 +95,23 @@ class TestEnumeration:
 
     def test_stream_is_one_shell_at_a_time(self, monkeypatch):
         # work before the first record must not grow with g_max: count
-        # the records built and the order tuples drawn until it arrives
+        # the records built (through the enumerator's trusted
+        # constructor) and the order tuples drawn until it arrives
         built = []
         drawn = []
+        trusted = CyclicSignature._trusted.__func__
 
-        class Counted(CyclicSignature):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
+        def counted_trusted(cls, *fields):
+            built.append(fields)
+            return trusted(cls, *fields)
 
         def counted_combinations(items, k):
             for combo in combinations_with_replacement(items, k):
                 drawn.append(combo)
                 yield combo
 
-        monkeypatch.setattr(cyclic_case, "CyclicSignature", Counted)
+        monkeypatch.setattr(CyclicSignature, "_trusted",
+                            classmethod(counted_trusted))
         monkeypatch.setattr(cyclic_case, "combinations_with_replacement",
                             counted_combinations)
         before_first = []
@@ -120,7 +122,26 @@ class TestEnumeration:
             assert first.g == 0
         g0_shell = len(enumerate_signatures(12, 0))
         assert before_first[0] == before_first[1]
-        assert before_first[0][0] <= g0_shell
+        # the first record itself is counted, so the bound is not vacuous
+        assert 1 <= before_first[0][0] <= g0_shell
+
+    def test_streamed_records_equal_validated_ones(self):
+        # the stream builds its records without re-validating them; over
+        # AC3's exact range each must equal the record the public
+        # constructor validates, so AC3's `kernel_rank != sig.g` stays a
+        # check against the genus formula
+        total = 0
+        for n in range(2, 13):
+            for sig in stream_signatures(n, 50):
+                checked = CyclicSignature(n, a=sig.a, c=sig.c,
+                                          m_orders=sig.m_orders,
+                                          n_orders=sig.n_orders)
+                assert sig == checked and hash(sig) == hash(checked)
+                assert sig.g == checked.g == kernel_genus(
+                    n, sig.a, sig.b, sig.c, sig.n_orders)
+                assert describe(sig) == describe(checked)
+                total += 1
+        assert total == 73407
 
     def test_full_listing_small_n(self):
         assert [describe(s) for s in enumerate_signatures(2, 1)] == [
