@@ -35,8 +35,7 @@ from .schottky import (Check, CheckReport, DegeneratePairingError,
 from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
                               SphereDisc, disc_contains, disc_image,
                               disc_relation, image_relation,
-                              inversive_product, map_circle,
-                              spherical_diameter)
+                              inversive_product, map_circle)
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,7 @@ __all__ = [
     "letter_discs", "make_b3", "make_basic", "map_circle", "normal_form",
     "orbifold_signature", "ping_pong_disc", "projectively_equal",
     "reduced_words", "render", "resolve_generator_word", "sample",
-    "sphere_point", "spherical_diameter", "station_boundary",
+    "sphere_point", "station_boundary",
     "station_frame", "stream_signatures", "symbolic_model",
     "uncertified_free_product",
     "validate_theta", "verify_pairing", "word_census",

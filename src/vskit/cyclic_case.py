@@ -78,6 +78,11 @@ class CyclicSignature:
     even n.  These are the conditions making the exponent map onto Z_n
     surjective with torsion-free kernel; they also force the genus g to
     be a nonnegative integer.
+
+    The constructor validates all of this and sorts the order tuples.
+    Records from `stream_signatures` are built without that step, from
+    fields the enumerator has already established; they equal the
+    records the constructor would build.
     """
 
     n: int
@@ -116,12 +121,10 @@ class CyclicSignature:
 
     @classmethod
     def _trusted(cls, n, a, c, m_orders, n_orders, g):
-        """Build a record whose fields are already known to be admissible.
+        """Build a record from fields already known to be admissible.
 
-        For the enumerator only: its loop draws the order tuples sorted
-        from the divisors of n in range, keeps only counts that pass the
-        admissibility clauses, and knows the genus from the shell it is
-        filling, so every check of __post_init__ would pass.
+        Skips __post_init__; for the enumerator only (see
+        `stream_signatures` for why its fields need no check).
         """
         obj = cls.__new__(cls)
         obj.__dict__.update(n=n, a=a, c=c, m_orders=m_orders,
@@ -169,6 +172,11 @@ def stream_signatures(n, g_max):
     (a, b, c) whose part of twice the genus fits with the elliptic-order
     combinations making up the rest.  Those combinations are built only
     up to the d that the current shell needs.
+
+    Each record is built once, without re-running the constructor's
+    validation: its order tuples are drawn sorted from the divisors of n
+    in range, its counts pass the admissibility clauses before it is
+    kept, and its genus is the shell's g, so the checks could only pass.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError("n must be an integer >= 2")

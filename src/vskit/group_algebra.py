@@ -468,11 +468,6 @@ def walk_expanded(tree):
             walks.pop()
 
 
-def tree_leaves(tree):
-    """Leaf nodes of the tree, with composite leaves expanded."""
-    return (node for node in walk_expanded(tree) if node.kind == "leaf")
-
-
 def euler_characteristic(tree):
     """Rational chi of the tree group.
 
@@ -520,11 +515,6 @@ def normal_form(tree, word):
         for _ in range(exp):
             x = model.multiply(x, g)
     return x
-
-
-def is_identity_word(tree, word):
-    model = symbolic_model(tree)
-    return model.is_identity(normal_form(tree, word))
 
 
 @dataclass
@@ -599,9 +589,6 @@ class QuotientMap:
             total = self.target.add(
                 total, self.target.scale(exp, self.image_of(name)))
         return total
-
-    def is_kernel_word(self, word):
-        return self.apply(word) == self.target.zero()
 
 
 @dataclass

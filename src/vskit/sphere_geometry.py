@@ -330,10 +330,6 @@ def image_relation(disc, other):
     return relation
 
 
-def discs_disjoint(d1, d2):
-    return disc_relation(d1, d2) == "disjoint"
-
-
 def disc_contains(outer, inner, tol=TOL):
     """Whether the closed inner disc sits inside the closed outer disc."""
     p = inversive_product(inner, outer)
@@ -361,7 +357,3 @@ def circle_separates(circle, p, q):
     if abs(vp) <= TOL or abs(vq) <= TOL:
         return False
     return (vp > 0) != (vq > 0)
-
-
-def spherical_diameter(circle):
-    return circle.spherical_diameter()

@@ -14,8 +14,7 @@ import math
 import pytest
 
 from vskit.moebius import INF, MoebiusMap
-from vskit.sphere_geometry import SphereCircle, disc_contains, map_circle, \
-    spherical_diameter
+from vskit.sphere_geometry import SphereCircle, disc_contains, map_circle
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduce_word, reduced_words,
@@ -172,7 +171,7 @@ class TestPingPong:
     def test_deep_disc_stays_sane(self):
         ps = rank_two()
         d = ping_pong_disc(ps, (1,) * 8)
-        assert spherical_diameter(d.circle) < 1e-6
+        assert d.circle.spherical_diameter() < 1e-6
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):

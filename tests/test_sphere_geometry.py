@@ -14,9 +14,8 @@ from vskit.combination import station_boundary
 from vskit.moebius import INF, TOL, MoebiusMap
 from vskit.sphere_geometry import (SphereCircle, SphereDisc, circle_separates,
                             circles_disjoint, circles_equal, disc_contains,
-                            disc_relation, discs_disjoint, discs_same,
-                            image_relation, inversive_product, map_circle,
-                            disc_image, spherical_diameter)
+                            disc_relation, discs_same, image_relation,
+                            inversive_product, map_circle, disc_image)
 
 
 V = MoebiusMap(0, 1j, 1j, 0)           # z -> 1/z
@@ -49,12 +48,12 @@ class TestSphereCircle:
         assert line.eval(INF) == pytest.approx(0)
 
     def test_spherical_diameter(self):
-        assert spherical_diameter(SphereCircle.from_center_radius(0, 1)) \
+        assert SphereCircle.from_center_radius(0, 1).spherical_diameter() \
             == pytest.approx(2)
-        assert spherical_diameter(SphereCircle.from_center_radius(0, 2)) \
+        assert SphereCircle.from_center_radius(0, 2).spherical_diameter() \
             == pytest.approx(1.6)
         # great circles through INF have diameter 2
-        assert spherical_diameter(SphereCircle.from_line(0, 1j)) \
+        assert SphereCircle.from_line(0, 1j).spherical_diameter() \
             == pytest.approx(2)
 
     def test_degenerate_rejected(self):
@@ -161,7 +160,6 @@ class TestInversiveProduct:
         inside_half = SphereDisc.from_center_radius(0, 0.5, inside=True)
         outside_two = SphereDisc.from_center_radius(0, 2, inside=False)
         assert disc_relation(inside_half, outside_two) == "disjoint"
-        assert discs_disjoint(inside_half, outside_two)
 
         tangent_a = SphereDisc.from_center_radius(0, 1, inside=True)
         tangent_b = SphereDisc.from_center_radius(2, 1, inside=True)
