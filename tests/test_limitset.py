@@ -1,5 +1,7 @@
 """Limit set sampling, nesting audits, and rendering."""
 
+import hashlib
+
 import pytest
 
 from vskit.basic_groups import make_basic
@@ -167,3 +169,104 @@ class TestRender:
         assert lines == export_lines(s)
         assert any(line.startswith("disc 1 |") for line in lines)
         assert "point inf" in lines
+
+
+# The rank-2 pairing of _rank2_system as (center, radius) of C and C'
+# and the matrix pairing them, per generator.
+_RANK2_PAIRS = (
+    ((0, 0.25), (0, 4.0), (4, 0, 0, 0.25)),
+    ((17 / 15, 8 / 15), (-17 / 15, 8 / 15),
+     (17 / 8, -15 / 8, -15 / 8, 17 / 8)),
+)
+
+
+def _conjugated_pairs(s, t=0j):
+    """_RANK2_PAIRS conjugated by the similarity z -> s z + t."""
+    out = []
+    for (c1, r1), (c2, r2), (a, b, c, d) in _RANK2_PAIRS:
+        m = (s * a + t * c, s * b + t * d, c, d)
+        m = (m[0], -m[0] * t + m[1] * s, m[2], -m[2] * t + m[3] * s)
+        out.append(((s * c1 + t, abs(s) * r1), (s * c2 + t, abs(s) * r2), m))
+    return out
+
+
+def _symmetric_pairs(quarter_turn, swap, invert):
+    """_RANK2_PAIRS turned by i, listed in either order, and with each
+    pairing reversed (C' to C by the inverse) or not: every variant only
+    swaps, negates or turns by i the input numbers."""
+    pairs = _conjugated_pairs(1j if quarter_turn else 1)
+    for j, flip in enumerate(invert):
+        if flip:
+            c, cp, (a, b, cc, d) = pairs[j]
+            pairs[j] = (cp, c, (d, -b, -cc, a))
+    return pairs[::-1] if swap else pairs
+
+
+def _variant_system(pairs):
+    return PairingSystem([(SphereCircle.from_center_radius(*c),
+                           SphereCircle.from_center_radius(*cp),
+                           MoebiusMap(*m)) for c, cp, m in pairs])
+
+
+_VARIANTS = {
+    **{f"q{q}s{s}i{i}{j}": _symmetric_pairs(q, s, (i, j))
+       for q in (0, 1) for s in (0, 1) for i in (0, 1) for j in (0, 1)},
+    "general-a": _conjugated_pairs(complex(0.7, 1.1), complex(-0.3, 0.45)),
+    "general-b": _conjugated_pairs(complex(-1.6, 0.2), complex(0.8, -0.6)),
+}
+
+# SHA-256 over every disc's (word, A, B, C, side), the fixed points, the
+# per-depth diameters, the render bytes and the audit lines of each
+# variant sampled to depth 6; repr pins floats to the last bit.
+_GOLDEN = {
+    "general-a":
+        "4918fc74070337184a25d8141cb52ccaec2b4215f9930ee2d9f54bc0b0a45ebe",
+    "general-b":
+        "910fe2949c0f07b425e1255d3c1f65c07c32149a3ef21f33fb7c34188e87e65f",
+    "q0s0i00":
+        "80747535e963083ecdb582d5f0ce2e18403f4005a93e309d903dcdea02b0e506",
+    "q0s0i01":
+        "2868b2dc5448d09fecf24414ca42421097f0f0f7b2bd756a8398bd787ff20285",
+    "q0s0i10":
+        "7b3878d747d2f13173cbaafb8bd21ff17a602e3ff2f31498e51a7efc62d4bdfb",
+    "q0s0i11":
+        "7b752ecdbdbf555eaf2b2944d6b69b7ef8efa95a319f5f7fc353a195436ccdb8",
+    "q0s1i00":
+        "63799915747337972b1df50e0f2316e28170abb8ec55a5462fc4c22ad08b9980",
+    "q0s1i01":
+        "5f8a6dfa279375b52c7adc941adc5ef3c6b9f5839c238e773760063bc587bffd",
+    "q0s1i10":
+        "214fe4134bde088879f7099b17e320e90b08ee4ee6c6c3b55e4846696c6a5fb7",
+    "q0s1i11":
+        "0b53f74cd3aeca94308b14fa987aec9cad34daa673b49f61791c574dcb9da4ab",
+    "q1s0i00":
+        "3647c42c5e5f4ca8ac7cb3796f15bf105ae7307f33dd9bb0d1128b6a4e4f7158",
+    "q1s0i01":
+        "a92845dc33c90c86d72a4009edc75c9061b31616a22c02b9dd9094d1f0cf2fbe",
+    "q1s0i10":
+        "46c878f9e6c0095774ba84bd43fb5e0a2379a93bdd0a8a81dba517e25cc3fb3a",
+    "q1s0i11":
+        "9fee7a92adca106026f9410d522e1eb32a8eb68ebb60a7429131eab0cad818f7",
+    "q1s1i00":
+        "4a603980092c2762d8366f79674eef191754bbcdce4823bbf60130a48941300d",
+    "q1s1i01":
+        "d246e0fbc9afd33bc8ccd5571ec3dccfe82052d5553530e3158a6cebd1d85d40",
+    "q1s1i10":
+        "771d96a3e8dcb5262420650a09965a5f465318ae9601eff3f1fe88a7df34f1c1",
+    "q1s1i11":
+        "f8ec0c6166a6f083b8f59b047935c93c61a2ff45fb52dfe3e6ebb336865e3563",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+def test_sample_audit_render_bits(name):
+    s = sample(_variant_system(_VARIANTS[name]), depth=6)
+    h = hashlib.sha256()
+    for word, disc in s.discs:
+        c = disc.circle
+        h.update(repr((word, c.A, c.B, c.C, disc.side)).encode())
+    h.update(repr(s.points).encode())
+    h.update(repr(s.max_diameter_by_depth).encode())
+    h.update(render(s).encode())
+    h.update("\n".join(disconnectedness_report(s).lines()).encode())
+    assert h.hexdigest() == _GOLDEN[name]
