@@ -22,8 +22,9 @@ from fractions import Fraction
 import cmath
 import math
 
-from .moebius import (TOL, MoebiusMap, classify, projectively_equal,
-                      is_identity_map, fixed_points, INF)
+from .moebius import (TOL, MoebiusMap, _map_kind, classify,
+                      projectively_equal, is_identity_map, fixed_points,
+                      INF)
 from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
@@ -384,11 +385,11 @@ def _check_presentation(symbolic, gens):
             raise RuntimeError(f"internal relation check failed: {message}")
 
     for name in symbolic.free_names:
-        check(classify(gens[name]).kind == "loxodromic",
+        check(_map_kind(gens[name]) == "loxodromic",
               f"{name} must be loxodromic")
     names = symbolic.torsion_names
     for name in names:
-        kind = classify(gens[name]).kind
+        kind = _map_kind(gens[name])
         if kind != "elliptic":
             raise BasicGroupError(
                 f"{name} classifies as {kind}, not elliptic")

@@ -11,7 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 
-from .moebius import MoebiusMap, classify, projectively_equal, is_identity_map
+from .moebius import (MoebiusMap, _map_kind, projectively_equal,
+                      is_identity_map)
 from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_contains, disc_image,
                               disc_relation, image_relation, map_circle)
@@ -464,10 +465,10 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
             f"stable letter name {stable_name!r} already used in the base")
 
     report = CheckReport()
-    kind = classify(A)
+    kind = _map_kind(A)
     _require(report.add("stable letter is loxodromic",
-                        kind.kind == "loxodromic",
-                        lambda: f"classified {kind.kind}"))
+                        kind == "loxodromic",
+                        lambda: f"classified {kind}"))
     sigma2 = map_circle(A, B1.circle)
     _require(report.add(
         "A(Sigma1) = Sigma2", circles_equal(sigma2, B2.circle),

@@ -8,16 +8,27 @@ disconnectedness.  Assembled trees carry no global circle system, so
 they are sampled through the loxodromic fixed points of enumerated
 elements instead.  Diameters are spherical
 (chordal) throughout, since infinity may be a limit point.
+
+Each word of a pairing sample costs one Moebius product (its map, from
+its parent's), one pushforward of its last letter's disc through the
+parent's map (disc_image) and one kind decision with one fixed-point
+solve (moebius._loxodromic_fixed_points).  The image disc's side is
+the sign that made its circle canonical, so its oriented form is the
+pushed-forward form itself, and the fixed points are those of
+fixed_points for exactly the maps classify calls loxodromic: both are
+bit for bit what classify, fixed_points and a sign test of the raw
+against the canonical coefficients give.
 """
 
+import cmath
 from dataclasses import dataclass
 
 from .combination import GroupData
 from .group_algebra import walk_tree
-from .moebius import INF, classify, fixed_points
+from .moebius import INF, _loxodromic_fixed_points, sphere_point
 from .schottky import (PairingSystem, count_reduced_words, letter_discs,
                        reduced_words)
-from .sphere_geometry import disc_contains, disc_image
+from .sphere_geometry import disc_image
 
 __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
            "disconnectedness_report", "render", "export_lines"]
@@ -87,9 +98,7 @@ def _word_text(word):
 
 
 def _collect_fixed_points(m, out, seen):
-    if classify(m).kind != "loxodromic":
-        return
-    for p in fixed_points(m):
+    for p in _loxodromic_fixed_points(m):
         key = "inf" if p is INF else (round(p.real, 9), round(p.imag, 9))
         if key not in seen:
             seen.add(key)
@@ -152,6 +161,13 @@ def sample(source, depth=8, require_verified=True,
     leaves and assembled trees yield fixed points only.  Uncertified
     trees and unverified pairings are rejected unless
     require_verified=False.
+
+    A word of a pairing sample costs one product, one pushforward and
+    one fixed-point solve.  Its disc's side is the sign that made the
+    pushed-forward form canonical (the sign of raw times canonical
+    coefficients), and its fixed points come from fixed_points' own
+    solve after classify's own kind decision, so both are bit-identical
+    to what those functions return.
     """
     if isinstance(source, PairingSystem):
         return _sample_pairing(source, depth, require_verified, circle_budget)
@@ -178,17 +194,47 @@ def disconnectedness_report(sample):
     closed disc, up to AUDIT_SLACK, and the largest diameter per depth
     must not grow by more than AUDIT_SLACK.  Point-only samples audit
     vacuously.
+
+    The nesting test is disc_contains(parent, disc, tol=AUDIT_SLACK),
+    operation for operation, with each parent's oriented form read once
+    for all its children.
     """
     if sample.depth < 2:
         raise ValueError("need a sample of depth >= 2")
-    index = {word: disc for word, disc in sample.discs}
+    parents = {}
     violations = []
     checked = 0
+    limit = 1.0 - AUDIT_SLACK
     for word, disc in sample.discs:
+        circle = disc.circle
+        side = disc.side
+        A, B, C = side * circle.A, side * circle.B, side * circle.C
+        if len(word) < sample.depth:
+            parents[word] = (A, B.conjugate(), C, side, circle)
         if len(word) < 2:
             continue
         checked += 1
-        if not disc_contains(index[word[:-1]], disc, tol=AUDIT_SLACK):
+        A2, B2c, C2, side2, outer = parents[word[:-1]]
+        # inversive product of the child and its parent, then the
+        # parent's signed form at a point of the child's circle
+        if ((B * B2c).real * 2.0 - A * C2 - A2 * C) / 2.0 < limit:
+            nested = False
+        else:
+            if circle.is_line():
+                point = circle.a_point()
+            else:
+                # a_point: center plus radius, as center_radius computes them
+                point = -circle.B / circle.A + 1.0 / abs(circle.A)
+                if not cmath.isfinite(point):
+                    point = sphere_point(point)
+            if point is INF:
+                value = outer.A
+            else:
+                value = (outer.A * abs(point) ** 2
+                         + 2.0 * (outer.B.conjugate() * point).real
+                         + outer.C)
+            nested = side2 * value <= AUDIT_SLACK
+        if not nested:
             violations.append((word, word[:-1]))
     diam = sample.max_diameter_by_depth
     terminal = diam[-1] if diam else 0.0
@@ -237,8 +283,10 @@ def render(sample):
         if c.is_line():
             skipped += 1
             continue
-        center, radius = c.center_radius()
-        circles.append((len(word), center.real, center.imag, radius))
+        # center_radius, inline
+        center = -c.B / c.A
+        circles.append((len(word), center.real, center.imag,
+                        1.0 / abs(c.A)))
     for p in sample.points:
         if p is INF:
             skipped += 1
@@ -255,27 +303,27 @@ def render(sample):
     span = max(x1 - x0, y1 - y0, 1e-12)
     scale = IMAGE_SIZE * (1.0 - 2.0 * IMAGE_MARGIN) / span
     pad = IMAGE_SIZE * IMAGE_MARGIN
-
-    def sx(x):
-        return (x - x0) * scale + pad
-
-    def sy(y):
-        return (y1 - y) * scale + pad
-
     width = (x1 - x0) * scale + 2.0 * pad
     height = (y1 - y0) * scale + 2.0 * pad
     stroke = IMAGE_SIZE / 640.0
     out = [_svg_header(width, height)]
     if skipped:
         out.append(f"  <!-- {skipped} unbounded elements omitted -->")
+    # the fill, hue and stroke text after r, formatted once per level
+    tails = {}
     for level, x, y, r in circles:
-        hue = (37 + 53 * (level - 1)) % 360
-        out.append(f'  <circle cx="{sx(x):.6f}" cy="{sy(y):.6f}" '
-                   f'r="{r * scale:.6f}" fill="none" '
-                   f'stroke="hsl({hue},65%,38%)" '
-                   f'stroke-width="{stroke:.6f}"/>')
+        tail = tails.get(level)
+        if tail is None:
+            hue = (37 + 53 * (level - 1)) % 360
+            tail = tails[level] = (f'" fill="none" '
+                                   f'stroke="hsl({hue},65%,38%)" '
+                                   f'stroke-width="{stroke:.6f}"/>')
+        out.append(f'  <circle cx="{(x - x0) * scale + pad:.6f}" '
+                   f'cy="{(y1 - y) * scale + pad:.6f}" '
+                   f'r="{r * scale:.6f}{tail}')
+    dot_tail = f'" r="{IMAGE_SIZE / 320.0:.6f}" fill="#1a1a1a"/>'
     for x, y in dots:
-        out.append(f'  <circle cx="{sx(x):.6f}" cy="{sy(y):.6f}" '
-                   f'r="{IMAGE_SIZE / 320.0:.6f}" fill="#1a1a1a"/>')
+        out.append(f'  <circle cx="{(x - x0) * scale + pad:.6f}" '
+                   f'cy="{(y1 - y) * scale + pad:.6f}{dot_tail}')
     out.append("</svg>")
     return "\n".join(out) + "\n"

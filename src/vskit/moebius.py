@@ -236,6 +236,46 @@ def _elliptic_order(m, tol):
     return None
 
 
+def _map_kind(m, tol=TOL):
+    """classify(m, tol).kind, decided alone.
+
+    Builds no MapClass, computes no multiplier and searches for no
+    elliptic order, for callers that read only the kind.
+    """
+    if not m.conformal:
+        return _anticonformal_kind(m * m, tol)
+    if is_identity_map(m, tol):
+        return "identity"
+    t = m.a + m.d
+    t2 = t * t
+    dev = abs(t2 - 4.0)
+    if dev <= PARABOLIC_BAND:
+        return "parabolic"
+    if dev < tol:
+        return "ambiguous-parabolic"
+    if abs(t2.imag) <= tol and -tol < t2.real < 4.0:
+        return "elliptic"
+    return "loxodromic"
+
+
+# the kind of an anticonformal map by the kind of its (conformal,
+# non-identity) square
+_SQUARE_KINDS = {"loxodromic": "pseudo-hyperbolic",
+                 "elliptic": "anticonformal-elliptic",
+                 "parabolic": "pseudo-parabolic",
+                 "ambiguous-parabolic": "ambiguous-parabolic"}
+
+
+def _anticonformal_kind(square, tol):
+    if is_identity_map(square, tol):
+        # the sign of M * conj(M) distinguishes the two involutions:
+        # +I has a circle of fixed points, -I has none
+        if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
+            return "reflection"
+        return "imaginary-reflection"
+    return _SQUARE_KINDS[_map_kind(square, tol)]
+
+
 def classify(m, tol=TOL):
     """Classify a map by its squared trace.
 
@@ -245,52 +285,40 @@ def classify(m, tol=TOL):
     """
     if not m.conformal:
         return _classify_anticonformal(m, tol)
-    if is_identity_map(m, tol):
-        return MapClass("identity")
-    t = m.trace()
-    t2 = t * t
-    dev = abs(t2 - 4.0)
-    if dev <= PARABOLIC_BAND:
-        return MapClass("parabolic")
-    if dev < tol:
-        return MapClass("ambiguous-parabolic")
-    if abs(t2.imag) <= tol and -tol < t2.real < 4.0:
-        k = (t + cmath.sqrt(t2 - 4.0)) / 2.0
+    kind = _map_kind(m, tol)
+    if kind == "elliptic":
+        t = m.trace()
+        k = (t + cmath.sqrt(t * t - 4.0)) / 2.0
         lam = k * k
         if lam.imag < 0:
             lam = 1.0 / lam
-        order = _elliptic_order(m, tol)
-        return MapClass("elliptic", order=order, multiplier=lam)
-    k1 = (t + cmath.sqrt(t2 - 4.0)) / 2.0
-    k2 = (t - cmath.sqrt(t2 - 4.0)) / 2.0
-    k = k1 if abs(k1) >= abs(k2) else k2
-    lam = k * k
-    if abs(lam) <= 1.0:
-        lam = 1.0 / lam
-    return MapClass("loxodromic", multiplier=lam)
+        return MapClass(kind, order=_elliptic_order(m, tol), multiplier=lam)
+    if kind == "loxodromic":
+        t = m.trace()
+        t2 = t * t
+        k1 = (t + cmath.sqrt(t2 - 4.0)) / 2.0
+        k2 = (t - cmath.sqrt(t2 - 4.0)) / 2.0
+        k = k1 if abs(k1) >= abs(k2) else k2
+        lam = k * k
+        if abs(lam) <= 1.0:
+            lam = 1.0 / lam
+        return MapClass(kind, multiplier=lam)
+    return MapClass(kind)
 
 
 def _classify_anticonformal(m, tol):
     square = m * m
-    if is_identity_map(square, tol):
-        # the sign of M * conj(M) distinguishes the two involutions:
-        # +I has a circle of fixed points, -I has none
-        if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
-            return MapClass("reflection")
-        return MapClass("imaginary-reflection")
-    inner = classify(square, tol)
-    if inner.kind == "loxodromic":
-        lam = cmath.sqrt(inner.multiplier)
+    kind = _anticonformal_kind(square, tol)
+    if kind == "pseudo-hyperbolic":
+        lam = cmath.sqrt(classify(square, tol).multiplier)
         if abs(lam) <= 1.0:
             lam = 1.0 / lam
-        return MapClass("pseudo-hyperbolic", multiplier=lam)
-    if inner.kind == "elliptic":
+        return MapClass(kind, multiplier=lam)
+    if kind == "anticonformal-elliptic":
+        inner = classify(square, tol)
         order = 2 * inner.order if inner.order is not None else None
-        return MapClass("anticonformal-elliptic", order=order,
-                        multiplier=inner.multiplier)
-    if inner.kind == "parabolic":
-        return MapClass("pseudo-parabolic")
-    return MapClass("ambiguous-parabolic")
+        return MapClass(kind, order=order, multiplier=inner.multiplier)
+    return MapClass(kind)
 
 
 def fixed_points(m):
@@ -303,26 +331,36 @@ def fixed_points(m):
         raise ValueError("fixed points only computed for conformal maps")
     if is_identity_map(m):
         raise ValueError("identity fixes everything")
-    a, b, c, d = m.entries
+    return _solve_fixed_points(m)
+
+
+def _loxodromic_fixed_points(m):
+    """fixed_points(m) if classify(m).kind == "loxodromic", else ().
+
+    One kind decision and one fixed-point solve: a loxodromic map is
+    conformal and not the identity, so fixed_points' checks would pass.
+    """
+    if _map_kind(m) != "loxodromic":
+        return ()
+    return _solve_fixed_points(m)
+
+
+def _solve_fixed_points(m):
+    a, b, c, d = m.a, m.b, m.c, m.d
     if abs(c) <= 1e-14:
         if abs(a - d) <= 1e-14:
             return (INF,)
-        return _sort_points((INF, b / (d - a)))
+        return (INF, b / (d - a))
     disc = (a - d) ** 2 + 4.0 * b * c
     if abs(disc) <= PARABOLIC_BAND:
         return (sphere_point((a - d) / (2.0 * c)),)
     root = cmath.sqrt(disc)
     p1 = (a - d + root) / (2.0 * c)
     p2 = (a - d - root) / (2.0 * c)
-    return _sort_points((p1, p2))
-
-
-def _sort_points(points):
-    finite = sorted((p for p in points if p is not INF),
-                    key=lambda z: (z.real, z.imag))
-    if any(p is INF for p in points):
-        return (INF, *finite)
-    return tuple(finite)
+    # the one comparison a stable sort of two points makes
+    if (p2.real, p2.imag) < (p1.real, p1.imag):
+        return (p2, p1)
+    return (p1, p2)
 
 
 def attracting_fixed_point(m):

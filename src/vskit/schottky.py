@@ -13,7 +13,7 @@ and the list of them, are shared with the combination certificates.
 from dataclasses import dataclass, field
 
 from .group_algebra import reduce_word
-from .moebius import MoebiusMap, classify, fixed_points, is_identity_map, TOL
+from .moebius import MoebiusMap, _map_kind, fixed_points, is_identity_map, TOL
 from . import sphere_geometry
 from .sphere_geometry import SphereDisc, circles_equal, discs_same, disc_image
 
@@ -138,9 +138,9 @@ def verify_pairing(system):
     report = CheckReport()
     circles = system.all_circles()
     for j, (c, cp, m) in enumerate(system.pairs, start=1):
-        cls = classify(m)
-        if report.add(f"generator {j} loxodromic", cls.kind == "loxodromic",
-                      lambda: f"classified {cls.kind}").ok:
+        kind = _map_kind(m)
+        if report.add(f"generator {j} loxodromic", kind == "loxodromic",
+                      lambda: f"classified {kind}").ok:
             for p in fixed_points(m):
                 for k, circle in enumerate(circles):
                     if abs(circle.eval(p)) <= TOL:
@@ -323,7 +323,7 @@ def word_census(system, depth):
     """Classification counts over all nonempty reduced words up to depth."""
     counts = {}
     for _, m in _word_matrices(system, depth):
-        kind = classify(m).kind
+        kind = _map_kind(m)
         counts[kind] = counts.get(kind, 0) + 1
     return counts
 

@@ -39,17 +39,24 @@ class SphereCircle:
         self._store(A / s, B / s, C / s)
 
     def _store(self, A, B, C):
+        """Store the form with its canonical sign; return that sign.
+
+        The stored coefficients are the returned sign times (A, B, C).
+        """
         # canonical sign: first sufficiently nonzero coefficient positive,
         # judged relative to the coefficient scale
         scale = max(abs(A), abs(B.real), abs(B.imag), abs(C), 1e-300)
+        sign = 1
         for lead in (A, B.real, B.imag, C):
             if abs(lead) > 1e-9 * scale:
                 if lead < 0:
                     A, B, C = -A, -B, -C
+                    sign = -1
                 break
         self.A = A
         self.B = B
         self.C = C
+        return sign
 
     @classmethod
     def _from_normalized(cls, A, B, C):
@@ -176,6 +183,22 @@ class SphereDisc:
         self.side = side
 
     @classmethod
+    def _from_oriented(cls, A, B, C):
+        """The disc whose oriented form is (A, B, C): float A and C,
+        complex B, discriminant already 1.
+
+        The circle stores the canonical form s * (A, B, C) and the side
+        is that same s, so oriented() gives back (A, B, C) bit for bit
+        (negation is exact); nothing is validated, as in
+        SphereCircle._from_normalized.
+        """
+        circle = SphereCircle.__new__(SphereCircle)
+        obj = cls.__new__(cls)
+        obj.circle = circle
+        obj.side = circle._store(A, B, C)
+        return obj
+
+    @classmethod
     def from_center_radius(cls, center, radius, inside=True):
         circle = SphereCircle.from_center_radius(center, radius)
         probe = circle.eval(complex(center))
@@ -242,18 +265,12 @@ def disc_image(m, disc):
     The side is read off the transported oriented form rather than from a
     witness point: evaluating the form at an interior point of a tiny disc
     cancels catastrophically, while the congruence keeps the sign exact at
-    any scale.
+    any scale.  The pushed-forward form is the image's oriented form
+    (_pushforward keeps the sign of the form), so the image is built from
+    it by SphereDisc._from_oriented: its side is the sign that makes the
+    circle's coefficients canonical.
     """
-    A, B, C = disc.oriented()
-    A2, B2, C2 = _pushforward(m, A, B, C)
-    circle = SphereCircle._from_normalized(A2, B2, C2)
-    raw = (A2, B2.real, B2.imag, C2)
-    canon = (circle.A, circle.B.real, circle.B.imag, circle.C)
-    k = 0
-    for i in range(1, 4):
-        if abs(canon[i]) > abs(canon[k]):
-            k = i
-    return SphereDisc(circle, _sign(raw[k] * canon[k]))
+    return SphereDisc._from_oriented(*_pushforward(m, *disc.oriented()))
 
 
 def _inversive(A1, B1, C1, A2, B2c, C2):
@@ -311,11 +328,11 @@ def disc_relation(d1, d2):
 def image_relation(disc, other):
     """The function m -> disc_relation(disc_image(m, disc), other).
 
-    other's oriented form and boundary point are read once, here.  Each
-    call pushes disc's oriented form through m and decides on the raw
-    image coefficients, building no circle or disc: disc_image's side
-    times its canonical coefficients is that raw form, bit for bit (the
-    canonical sign only negates), so every answer is disc_relation's.
+    disc's and other's oriented forms and other's boundary point are
+    read once, here.  Each call pushes disc's oriented form through m and
+    decides on the raw image coefficients, building no circle or disc:
+    those are the oriented form of disc_image's result, bit for bit
+    (SphereDisc._from_oriented), so every answer is disc_relation's.
     """
     A, B, C = disc.oriented()
     A2, B2, C2 = other.oriented()

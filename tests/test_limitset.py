@@ -7,13 +7,13 @@ import pytest
 from vskit.basic_groups import make_basic
 from vskit.combination import assemble
 from vskit.cyclic_case import CyclicSignature, build_cyclic
-from vskit.limitset import (disconnectedness_report, export_lines, render,
-                            sample)
+from vskit.limitset import (AUDIT_SLACK, disconnectedness_report,
+                            export_lines, render, sample)
 from vskit.moebius import INF, MoebiusMap
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduced_words, word_census)
-from vskit.sphere_geometry import SphereCircle, discs_same
+from vskit.sphere_geometry import SphereCircle, disc_contains, discs_same
 
 
 def _rank2_system():
@@ -270,3 +270,20 @@ def test_sample_audit_render_bits(name):
     h.update(render(s).encode())
     h.update("\n".join(disconnectedness_report(s).lines()).encode())
     assert h.hexdigest() == _GOLDEN[name]
+
+
+@pytest.mark.parametrize("system, depth", [
+    (TestNegativeControls()._corrupted(), 4),
+    (_variant_system(_conjugated_pairs(0.09 + 0.88j, 0.99 - 0.06j)), 8),
+])
+def test_audit_makes_disc_contains_decisions(system, depth):
+    # the second system's depth-8 discs cancel enough for the audit to
+    # report false violations, which must be disc_contains' own
+    s = sample(system, depth=depth, require_verified=False)
+    index = dict(s.discs)
+    want = tuple((word, word[:-1]) for word, disc in s.discs
+                 if len(word) >= 2 and not disc_contains(
+                     index[word[:-1]], disc, tol=AUDIT_SLACK))
+    report = disconnectedness_report(s)
+    assert want and report.violations == want
+    assert report.checked == len(s.discs) - 4

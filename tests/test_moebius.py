@@ -207,6 +207,59 @@ class TestFixedPoints:
         assert attracting_fixed_point(m) == pytest.approx(t(INF))
 
 
+class TestKindOnlyHelpers:
+    """_map_kind is classify's kind and _loxodromic_fixed_points is
+    fixed_points of the loxodromic maps, () of all others."""
+
+    @staticmethod
+    def _maps():
+        e = 5e-6
+        maps = [MoebiusMap.identity(), MoebiusMap(-1, 0, 0, -1),
+                MoebiusMap(1 + 0.5 * TOL, 0, 0, 1 - 0.5 * TOL),
+                SHIFT, SHIFT.conjugated_by(V),                    # parabolic
+                MoebiusMap(1 + e, 1, 0, 1 / (1 + e)),             # ambiguous
+                V, UV, U, rotation(3), rotation(7), rotation(200),  # elliptic
+                SCALE2, SCALE2.inverse(), MoebiusMap(2, 1, 0, 0.5),
+                MoebiusMap(2, 1, 1e-15, 0.5), MoebiusMap(2, 0, -1e-14, 0.5),
+                *_AC7, _AC7[0] * _AC7[1] * _AC7[0].inverse(),
+                CONJ, SCALE2 * CONJ, rotation(3) * CONJ, SHIFT * CONJ,
+                MoebiusMap(0, -1, 1, 0, conformal=False),
+                MoebiusMap(0, 1, 1, 0, conformal=False)]
+        rng = random.Random(11)
+        while len(maps) < 300:
+            entries = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                       for _ in range(4)]
+            if rng.random() < 0.2:
+                entries[2] = 0j
+            maps.append(MoebiusMap(*entries, conformal=rng.random() < 0.7))
+        return maps
+
+    def test_kind_is_classify_kind(self):
+        for m in self._maps():
+            for tol in (TOL, 1e-6):
+                assert moebius._map_kind(m, tol) == classify(m, tol).kind
+
+    def test_loxodromic_fixed_points_reference(self):
+        kinds = set()
+        for m in self._maps():
+            kind = classify(m).kind
+            kinds.add(kind)
+            want = fixed_points(m) if kind == "loxodromic" else ()
+            # repr pins the bits, the sign of zero included
+            assert repr(moebius._loxodromic_fixed_points(m)) == repr(want)
+        assert {"identity", "parabolic", "ambiguous-parabolic", "elliptic",
+                "loxodromic", "reflection", "pseudo-hyperbolic"} <= kinds
+
+    def test_fixed_points_keep_the_stable_sort_order(self):
+        for m in self._maps():
+            if not m.conformal or classify(m).kind == "identity":
+                continue
+            points = fixed_points(m)
+            finite = [p for p in points if p is not INF]
+            assert list(points) == [INF] * (len(points) - len(finite)) \
+                + sorted(finite, key=lambda z: (z.real, z.imag))
+
+
 class TestChordal:
     def test_antipodes(self):
         assert chordal(0, INF) == pytest.approx(2)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from vskit import sphere_geometry
 from vskit.combination import station_boundary
 from vskit.moebius import INF, TOL, MoebiusMap
 from vskit.sphere_geometry import (SphereCircle, SphereDisc, circle_separates,
@@ -141,6 +142,64 @@ class TestDiscs:
                 assert abs(image.circle.eval(m(p))) <= 1e-9
             assert image.contains(m(d.interior_point()))
             assert not image.contains(m(d.complement().interior_point()))
+
+
+class TestTrustedDiscImage:
+    """disc_image builds its disc from the pushed-forward oriented form;
+    the reference is the raw-against-canonical coefficient scan it
+    replaced."""
+
+    @staticmethod
+    def _scan_rule(m, disc):
+        A2, B2, C2 = sphere_geometry._pushforward(m, *disc.oriented())
+        circle = SphereCircle._from_normalized(A2, B2, C2)
+        raw = (A2, B2.real, B2.imag, C2)
+        canon = (circle.A, circle.B.real, circle.B.imag, circle.C)
+        k = 0
+        for i in range(1, 4):
+            if abs(canon[i]) > abs(canon[k]):
+                k = i
+        return circle, 1 if raw[k] * canon[k] > 0 else -1
+
+    def test_seeded_maps_agree_with_scan_rule(self):
+        rng = random.Random(31)
+
+        def point():
+            return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+        discs = [SphereDisc.from_center_radius(0, 1, inside=False)]
+        for _ in range(12):
+            discs.append(SphereDisc.from_center_radius(
+                point(), rng.uniform(0.01, 2), inside=rng.random() < 0.5))
+            discs.append(SphereDisc(SphereCircle.from_line(point(), point()),
+                                    rng.choice((1, -1))))
+        factors = []
+        while len(factors) < 10:
+            try:
+                factors.append(MoebiusMap(point(), point(), point(), point(),
+                                          conformal=rng.random() < 0.5))
+            except ValueError:
+                continue
+        # affine maps keep lines lines
+        affine = [MoebiusMap(point(), point(), 0, 1,
+                             conformal=rng.random() < 0.5)
+                  for _ in range(4)]
+        sides = set()
+        for trial in range(300):
+            pool = affine if trial % 3 == 0 else factors
+            m = MoebiusMap.identity()
+            for _ in range(rng.randint(1, 8)):
+                m = m * rng.choice(pool)
+            for disc in discs:
+                image = disc_image(m, disc)
+                circle, side = self._scan_rule(m, disc)
+                assert repr((image.circle.A, image.circle.B, image.circle.C,
+                             image.side)) == repr((circle.A, circle.B,
+                                                   circle.C, side))
+                assert repr(image.oriented()) == repr(
+                    sphere_geometry._pushforward(m, *disc.oriented()))
+                sides.add((image.side, image.circle.is_line()))
+        assert len(sides) == 4
 
 
 class TestInversiveProduct:
