@@ -1,5 +1,6 @@
 """Limit set sampling, nesting audits, and rendering."""
 
+import cmath
 import hashlib
 
 import pytest
@@ -7,13 +8,15 @@ import pytest
 from vskit.basic_groups import make_basic
 from vskit.combination import assemble
 from vskit.cyclic_case import CyclicSignature, build_cyclic
-from vskit.limitset import (AUDIT_SLACK, disconnectedness_report,
-                            export_lines, render, sample)
+from vskit.limitset import (AUDIT_SLACK, LimitSetSample,
+                            disconnectedness_report, export_lines, render,
+                            sample)
 from vskit.moebius import INF, MoebiusMap
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduced_words, word_census)
-from vskit.sphere_geometry import SphereCircle, disc_contains, discs_same
+from vskit.sphere_geometry import (SphereCircle, SphereDisc, disc_contains,
+                                  discs_same)
 
 
 def _rank2_system():
@@ -287,3 +290,23 @@ def test_audit_makes_disc_contains_decisions(system, depth):
     report = disconnectedness_report(s)
     assert want and report.violations == want
     assert report.checked == len(s.discs) - 4
+
+
+def test_audit_decisions_inside_the_slack_band():
+    # children of the unit disc within a few AUDIT_SLACK of internal
+    # tangency, inside it or around it, so both of disc_contains'
+    # thresholds decide some of them
+    parent = SphereDisc.from_center_radius(0, 1.0)
+    discs = [((1,), parent)]
+    for k in (-3, -1, -0.6, -0.4, 0, 0.4, 0.6, 1, 3):
+        d = k * AUDIT_SLACK
+        for r in (0.3, 0.01):
+            discs.append(((1, len(discs) + 1), SphereDisc.from_center_radius(
+                cmath.rect(1 - r + d, 0.7), r)))
+        discs.append(((1, len(discs) + 1),
+                      SphereDisc.from_center_radius(-0.5, 1.5 + d)))
+    s = LimitSetSample(2, tuple(discs), (), (2.0, 2.0))
+    want = tuple((word, (1,)) for word, disc in discs[1:]
+                 if not disc_contains(parent, disc, tol=AUDIT_SLACK))
+    assert 0 < len(want) < len(discs) - 1
+    assert disconnectedness_report(s).violations == want
