@@ -12,23 +12,22 @@ elements instead.  Diameters are spherical
 Each word of a pairing sample costs one Moebius product (its map, from
 its parent's), one pushforward of its last letter's disc through the
 parent's map (disc_image) and one kind decision with one fixed-point
-solve (moebius._loxodromic_fixed_points).  The image disc's side is
-the sign that made its circle canonical, so its oriented form is the
-pushed-forward form itself, and the fixed points are those of
-fixed_points for exactly the maps classify calls loxodromic: both are
-bit for bit what classify, fixed_points and a sign test of the raw
+solve (moebius._map_kind, then moebius._solve_fixed_points).  The image
+disc's side is the sign that made its circle canonical, so its oriented
+form is the pushed-forward form itself, and the fixed points are those
+of fixed_points for exactly the maps classify calls loxodromic: both
+are bit for bit what classify, fixed_points and a sign test of the raw
 against the canonical coefficients give.
 """
 
-import cmath
 from dataclasses import dataclass
 
 from .combination import GroupData
 from .group_algebra import walk_tree
-from .moebius import INF, _loxodromic_fixed_points, sphere_point
+from .moebius import INF, _map_kind, _solve_fixed_points
 from .schottky import (PairingSystem, count_reduced_words, letter_discs,
                        reduced_words)
-from .sphere_geometry import disc_image
+from .sphere_geometry import _contains_kernel, disc_image
 
 __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
            "disconnectedness_report", "render", "export_lines"]
@@ -98,7 +97,9 @@ def _word_text(word):
 
 
 def _collect_fixed_points(m, out, seen):
-    for p in _loxodromic_fixed_points(m):
+    if _map_kind(m) != "loxodromic":
+        return
+    for p in _solve_fixed_points(m):
         key = "inf" if p is INF else (round(p.real, 9), round(p.imag, 9))
         if key not in seen:
             seen.add(key)
@@ -195,46 +196,21 @@ def disconnectedness_report(sample):
     must not grow by more than AUDIT_SLACK.  Point-only samples audit
     vacuously.
 
-    The nesting test is disc_contains(parent, disc, tol=AUDIT_SLACK),
-    operation for operation, with each parent's oriented form read once
-    for all its children.
+    Each parent's containment test is built once, by
+    _contains_kernel(parent, AUDIT_SLACK), and applied to its children.
     """
     if sample.depth < 2:
         raise ValueError("need a sample of depth >= 2")
     parents = {}
     violations = []
     checked = 0
-    limit = 1.0 - AUDIT_SLACK
     for word, disc in sample.discs:
-        circle = disc.circle
-        side = disc.side
-        A, B, C = side * circle.A, side * circle.B, side * circle.C
         if len(word) < sample.depth:
-            parents[word] = (A, B.conjugate(), C, side, circle)
+            parents[word] = _contains_kernel(disc, AUDIT_SLACK)
         if len(word) < 2:
             continue
         checked += 1
-        A2, B2c, C2, side2, outer = parents[word[:-1]]
-        # inversive product of the child and its parent, then the
-        # parent's signed form at a point of the child's circle
-        if ((B * B2c).real * 2.0 - A * C2 - A2 * C) / 2.0 < limit:
-            nested = False
-        else:
-            if circle.is_line():
-                point = circle.a_point()
-            else:
-                # a_point: center plus radius, as center_radius computes them
-                point = -circle.B / circle.A + 1.0 / abs(circle.A)
-                if not cmath.isfinite(point):
-                    point = sphere_point(point)
-            if point is INF:
-                value = outer.A
-            else:
-                value = (outer.A * abs(point) ** 2
-                         + 2.0 * (outer.B.conjugate() * point).real
-                         + outer.C)
-            nested = side2 * value <= AUDIT_SLACK
-        if not nested:
+        if not parents[word[:-1]](disc):
             violations.append((word, word[:-1]))
     diam = sample.max_diameter_by_depth
     terminal = diam[-1] if diam else 0.0
@@ -283,10 +259,8 @@ def render(sample):
         if c.is_line():
             skipped += 1
             continue
-        # center_radius, inline
-        center = -c.B / c.A
-        circles.append((len(word), center.real, center.imag,
-                        1.0 / abs(c.A)))
+        center, radius = c.center_radius()
+        circles.append((len(word), center.real, center.imag, radius))
     for p in sample.points:
         if p is INF:
             skipped += 1

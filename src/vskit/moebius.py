@@ -243,7 +243,7 @@ def _map_kind(m, tol=TOL):
     elliptic order, for callers that read only the kind.
     """
     if not m.conformal:
-        return _anticonformal_kind(m * m, tol)
+        return _classify_anticonformal(m, tol).kind
     if is_identity_map(m, tol):
         return "identity"
     t = m.a + m.d
@@ -256,24 +256,6 @@ def _map_kind(m, tol=TOL):
     if abs(t2.imag) <= tol and -tol < t2.real < 4.0:
         return "elliptic"
     return "loxodromic"
-
-
-# the kind of an anticonformal map by the kind of its (conformal,
-# non-identity) square
-_SQUARE_KINDS = {"loxodromic": "pseudo-hyperbolic",
-                 "elliptic": "anticonformal-elliptic",
-                 "parabolic": "pseudo-parabolic",
-                 "ambiguous-parabolic": "ambiguous-parabolic"}
-
-
-def _anticonformal_kind(square, tol):
-    if is_identity_map(square, tol):
-        # the sign of M * conj(M) distinguishes the two involutions:
-        # +I has a circle of fixed points, -I has none
-        if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
-            return "reflection"
-        return "imaginary-reflection"
-    return _SQUARE_KINDS[_map_kind(square, tol)]
 
 
 def classify(m, tol=TOL):
@@ -308,17 +290,25 @@ def classify(m, tol=TOL):
 
 def _classify_anticonformal(m, tol):
     square = m * m
-    kind = _anticonformal_kind(square, tol)
-    if kind == "pseudo-hyperbolic":
-        lam = cmath.sqrt(classify(square, tol).multiplier)
+    if is_identity_map(square, tol):
+        # the sign of M * conj(M) distinguishes the two involutions:
+        # +I has a circle of fixed points, -I has none
+        if abs(square.a - 1.0) <= tol and abs(square.d - 1.0) <= tol:
+            return MapClass("reflection")
+        return MapClass("imaginary-reflection")
+    inner = classify(square, tol)
+    if inner.kind == "loxodromic":
+        lam = cmath.sqrt(inner.multiplier)
         if abs(lam) <= 1.0:
             lam = 1.0 / lam
-        return MapClass(kind, multiplier=lam)
-    if kind == "anticonformal-elliptic":
-        inner = classify(square, tol)
+        return MapClass("pseudo-hyperbolic", multiplier=lam)
+    if inner.kind == "elliptic":
         order = 2 * inner.order if inner.order is not None else None
-        return MapClass(kind, order=order, multiplier=inner.multiplier)
-    return MapClass(kind)
+        return MapClass("anticonformal-elliptic", order=order,
+                        multiplier=inner.multiplier)
+    if inner.kind == "parabolic":
+        return MapClass("pseudo-parabolic")
+    return MapClass("ambiguous-parabolic")
 
 
 def fixed_points(m):
@@ -331,17 +321,6 @@ def fixed_points(m):
         raise ValueError("fixed points only computed for conformal maps")
     if is_identity_map(m):
         raise ValueError("identity fixes everything")
-    return _solve_fixed_points(m)
-
-
-def _loxodromic_fixed_points(m):
-    """fixed_points(m) if classify(m).kind == "loxodromic", else ().
-
-    One kind decision and one fixed-point solve: a loxodromic map is
-    conformal and not the identity, so fixed_points' checks would pass.
-    """
-    if _map_kind(m) != "loxodromic":
-        return ()
     return _solve_fixed_points(m)
 
 

@@ -347,13 +347,34 @@ def image_relation(disc, other):
     return relation
 
 
+def _contains_kernel(outer, tol=TOL):
+    """The function inner -> disc_contains(outer, inner, tol).
+
+    outer's oriented form is read once, here, so a caller that tests
+    many discs against one outer disc pays for it once.  The form is
+    evaluated at a point of inner's circle directly: that is
+    outer.signed_eval at the point, bit for bit up to the sign of a
+    zero, since the side only negates.
+    """
+    A2, B2, C2 = outer.oriented()
+    B2c = B2.conjugate()
+    limit = 1.0 - tol
+
+    def contains(inner):
+        A1, B1, C1 = inner.oriented()
+        if _inversive(A1, B1, C1, A2, B2c, C2) < limit:
+            return False
+        point = inner.circle.a_point()
+        if point is INF:
+            return A2 <= tol
+        return A2 * abs(point) ** 2 + 2.0 * (B2c * point).real + C2 <= tol
+
+    return contains
+
+
 def disc_contains(outer, inner, tol=TOL):
     """Whether the closed inner disc sits inside the closed outer disc."""
-    p = inversive_product(inner, outer)
-    if p < 1.0 - tol:
-        return False
-    boundary = inner.circle.a_point()
-    return outer.signed_eval(boundary) <= tol
+    return _contains_kernel(outer, tol)(inner)
 
 
 def circles_disjoint(c1, c2):

@@ -208,8 +208,8 @@ class TestFixedPoints:
 
 
 class TestKindOnlyHelpers:
-    """_map_kind is classify's kind and _loxodromic_fixed_points is
-    fixed_points of the loxodromic maps, () of all others."""
+    """_map_kind is classify's kind and _solve_fixed_points is
+    fixed_points of the maps _map_kind calls loxodromic."""
 
     @staticmethod
     def _maps():
@@ -245,8 +245,10 @@ class TestKindOnlyHelpers:
             kind = classify(m).kind
             kinds.add(kind)
             want = fixed_points(m) if kind == "loxodromic" else ()
+            got = (moebius._solve_fixed_points(m)
+                   if moebius._map_kind(m) == "loxodromic" else ())
             # repr pins the bits, the sign of zero included
-            assert repr(moebius._loxodromic_fixed_points(m)) == repr(want)
+            assert repr(got) == repr(want)
         assert {"identity", "parabolic", "ambiguous-parabolic", "elliptic",
                 "loxodromic", "reflection", "pseudo-hyperbolic"} <= kinds
 

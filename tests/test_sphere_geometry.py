@@ -250,6 +250,43 @@ class TestInversiveProduct:
         assert not disc_contains(inner, outer)
 
 
+class TestContainsKernel:
+    """_contains_kernel(outer, tol)(inner) is the two-step containment test:
+    inversive product at least 1 - tol, then a point of inner's circle
+    within tol of outer's closed side."""
+
+    @staticmethod
+    def _reference(outer, inner, tol):
+        if inversive_product(inner, outer) < 1.0 - tol:
+            return False
+        return outer.signed_eval(inner.circle.a_point()) <= tol
+
+    def test_seeded_discs_agree_with_reference(self):
+        rng = random.Random(31)
+        pool = TestImageRelation._pool()
+        for _ in range(60):
+            center = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            pool.append(SphereDisc.from_center_radius(
+                center, rng.uniform(0.05, 3), inside=rng.random() < 0.7))
+        # near internal tangency to the unit disc, inside and around it
+        unit = SphereDisc.from_center_radius(0, 1.0)
+        pool.append(unit)
+        for k in (-3, -1, 0, 1, 3):
+            d = k * 1e-7
+            pool.append(SphereDisc.from_center_radius(0.7 + d, 0.3))
+            pool.append(SphereDisc.from_center_radius(-0.5, 1.5 + d))
+        seen = set()
+        for tol in (TOL, 1e-7):
+            for outer in pool:
+                contains = sphere_geometry._contains_kernel(outer, tol)
+                for inner in pool:
+                    want = self._reference(outer, inner, tol)
+                    assert contains(inner) == want
+                    assert disc_contains(outer, inner, tol) == want
+                    seen.add(want)
+        assert seen == {True, False}
+
+
 class TestImageRelation:
     """image_relation(X, Y)(m) is disc_relation(disc_image(m, X), Y)."""
 
