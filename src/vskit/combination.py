@@ -563,12 +563,6 @@ class AssembledGroup:
     certificates: tuple
     model: object = field(repr=False, default=None)
 
-    def word_matrix(self, word):
-        return GroupData(self.model, self.generators).word_matrix(word)
-
-    def elements(self, depth):
-        return GroupData(self.model, self.generators).elements(depth)
-
     def summary_lines(self):
         out = [f"generators: {' '.join(self.generators)}"]
         out.append(f"relations: {len(self.relations)}")

@@ -9,6 +9,13 @@ they are sampled through the loxodromic fixed points of enumerated
 elements instead.  Diameters are spherical
 (chordal) throughout, since infinity may be a limit point.
 
+The nesting audit reads a sample as the ping-pong tree sample builds:
+the disc of a word u x is m_u(D_x), its prefix's map applied to its
+last letter's disc.  Pulling a word u x y and its parent u x back by
+m_u shows that the child nests in the parent exactly when m_x(D_y)
+nests in D_x, so the audit decides the 2g(2g-1) level-2 words once and
+judges every deeper word by its last two letters.
+
 Each word of a pairing sample costs one Moebius product (its map, from
 its parent's), one pushforward of its last letter's disc through the
 parent's map (disc_image) and one kind decision with one fixed-point
@@ -24,18 +31,15 @@ from dataclasses import dataclass
 
 from .combination import GroupData
 from .group_algebra import walk_tree
-from .moebius import INF, _map_kind, _solve_fixed_points
+from .moebius import INF, TOL, _map_kind, _solve_fixed_points
 from .schottky import (PairingSystem, count_reduced_words, letter_discs,
                        reduced_words)
-from .sphere_geometry import _contains_kernel, disc_image
+from .sphere_geometry import disc_contains, disc_image
 
 __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
            "disconnectedness_report", "render", "export_lines"]
 
 CIRCLE_BUDGET = 10 ** 6
-# the nesting audit's slack, wider than moebius.TOL: inversive products of
-# deep discs (coefficients ~1/radius) lose digits to cancellation
-AUDIT_SLACK = 1e-7
 IMAGE_SIZE = 800.0      # nominal side of the SVG view box
 IMAGE_MARGIN = 0.06     # blank border, as a share of IMAGE_SIZE
 
@@ -192,29 +196,35 @@ def disconnectedness_report(sample):
     """Audit nesting of the disc tree and report terminal diameters.
 
     Every disc of a word of length >= 2 must sit inside its parent's
-    closed disc, up to AUDIT_SLACK, and the largest diameter per depth
-    must not grow by more than AUDIT_SLACK.  Point-only samples audit
-    vacuously.
+    closed disc, and the largest diameter per depth must not grow by
+    more than TOL.  Point-only samples audit vacuously.
 
-    Each parent's containment test is built once, by
-    _contains_kernel(parent, AUDIT_SLACK), and applied to its children.
+    The sample must be a ping-pong tree as sample builds it: a word's
+    disc is its prefix's map applied to its last letter's disc.  Then
+    the disc of u x y is m_u(m_x(D_y)) and its parent's is m_u(D_x), so
+    pulling both back by m_u shows that the child nests exactly when
+    the level-2 disc m_x(D_y) nests in D_x.  Each level-2 disc is
+    tested once by disc_contains, and a deeper word fails exactly when
+    its last two letters do; deep discs, whose inversive products
+    cancel, are never tested.
     """
     if sample.depth < 2:
         raise ValueError("need a sample of depth >= 2")
-    parents = {}
+    letters, pairs = {}, {}
     violations = []
     checked = 0
     for word, disc in sample.discs:
-        if len(word) < sample.depth:
-            parents[word] = _contains_kernel(disc, AUDIT_SLACK)
-        if len(word) < 2:
+        if len(word) == 1:
+            letters[word] = disc
             continue
+        if len(word) == 2:
+            pairs[word] = disc_contains(letters[word[:1]], disc)
         checked += 1
-        if not parents[word[:-1]](disc):
+        if not pairs[word[-2:]]:
             violations.append((word, word[:-1]))
     diam = sample.max_diameter_by_depth
     terminal = diam[-1] if diam else 0.0
-    monotone = all(diam[k + 1] <= diam[k] + AUDIT_SLACK
+    monotone = all(diam[k + 1] <= diam[k] + TOL
                    for k in range(len(diam) - 1))
     return DisconnectednessReport(sample.depth, checked, tuple(violations),
                                   terminal, monotone)

@@ -347,34 +347,13 @@ def image_relation(disc, other):
     return relation
 
 
-def _contains_kernel(outer, tol=TOL):
-    """The function inner -> disc_contains(outer, inner, tol).
-
-    outer's oriented form is read once, here, so a caller that tests
-    many discs against one outer disc pays for it once.  The form is
-    evaluated at a point of inner's circle directly: that is
-    outer.signed_eval at the point, bit for bit up to the sign of a
-    zero, since the side only negates.
-    """
-    A2, B2, C2 = outer.oriented()
-    B2c = B2.conjugate()
-    limit = 1.0 - tol
-
-    def contains(inner):
-        A1, B1, C1 = inner.oriented()
-        if _inversive(A1, B1, C1, A2, B2c, C2) < limit:
-            return False
-        point = inner.circle.a_point()
-        if point is INF:
-            return A2 <= tol
-        return A2 * abs(point) ** 2 + 2.0 * (B2c * point).real + C2 <= tol
-
-    return contains
-
-
-def disc_contains(outer, inner, tol=TOL):
-    """Whether the closed inner disc sits inside the closed outer disc."""
-    return _contains_kernel(outer, tol)(inner)
+def disc_contains(outer, inner):
+    """Whether the closed inner disc sits inside the closed outer disc:
+    their inversive product is at least 1 - TOL, and a point of inner's
+    circle lies within TOL of outer's closed side."""
+    if inversive_product(inner, outer) < 1.0 - TOL:
+        return False
+    return outer.signed_eval(inner.circle.a_point()) <= TOL
 
 
 def circles_disjoint(c1, c2):

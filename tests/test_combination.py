@@ -461,7 +461,7 @@ def test_assembled_words_are_faithful_to_depth_three():
     node = chain_leaves(groups)
     assembled = assemble(node)
     model = assembled.model
-    listed = assembled.elements(3)
+    listed = GroupData(model, assembled.generators).elements(3)
     seen = 0
     for elem, word, matrix in listed.triples:
         if not model.is_identity(elem):

@@ -256,8 +256,9 @@ class TestBuild:
         # commutators die in the abelian quotient but not in the group
         word = (("t1.L", 1), ("e1.E", 1), ("t1.L", -1), ("e1.E", -1))
         assert built.theta.apply(word) == built.theta.target.zero()
-        assert classify(assembled.word_matrix(word)).kind == "loxodromic"
-        assert classify(assembled.word_matrix(
+        data = GroupData(assembled.model, assembled.generators)
+        assert classify(data.word_matrix(word)).kind == "loxodromic"
+        assert classify(data.word_matrix(
             (("t1.L", 4),))).kind == "loxodromic"
 
     def test_theta_orders_match_factor_orders(self):

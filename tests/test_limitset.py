@@ -8,10 +8,9 @@ import pytest
 from vskit.basic_groups import make_basic
 from vskit.combination import assemble
 from vskit.cyclic_case import CyclicSignature, build_cyclic
-from vskit.limitset import (AUDIT_SLACK, LimitSetSample,
-                            disconnectedness_report, export_lines, render,
-                            sample)
-from vskit.moebius import INF, MoebiusMap
+from vskit.limitset import (LimitSetSample, disconnectedness_report,
+                            export_lines, render, sample)
+from vskit.moebius import INF, TOL, MoebiusMap
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduced_words, word_census)
@@ -275,31 +274,48 @@ def test_sample_audit_render_bits(name):
     assert h.hexdigest() == _GOLDEN[name]
 
 
+@pytest.mark.parametrize("depth, count", [(3, 4), (4, 13), (6, 121)])
+def test_audit_makes_disc_contains_decisions(depth, count):
+    # on the corrupted system the violations are disc_contains' own
+    # per-disc decisions, and also the letter-pair rule: a word fails
+    # exactly when its level-2 suffix does
+    s = sample(TestNegativeControls()._corrupted(), depth=depth,
+               require_verified=False)
+    index = dict(s.discs)
+    per_disc = tuple((word, word[:-1]) for word, disc in s.discs
+                     if len(word) >= 2 and not disc_contains(
+                         index[word[:-1]], disc))
+    bad_pairs = {word for word, _ in per_disc if len(word) == 2}
+    by_pair = tuple((word, word[:-1]) for word, _ in s.discs
+                    if len(word) >= 2 and word[-2:] in bad_pairs)
+    report = disconnectedness_report(s)
+    assert report.violations == per_disc == by_pair
+    assert len(report.violations) == count
+    assert report.checked == len(s.discs) - 4
+
+
 @pytest.mark.parametrize("system, depth", [
-    (TestNegativeControls()._corrupted(), 4),
+    (_rank2_system(), 9),
     (_variant_system(_conjugated_pairs(0.09 + 0.88j, 0.99 - 0.06j)), 8),
 ])
-def test_audit_makes_disc_contains_decisions(system, depth):
-    # the second system's depth-8 discs cancel enough for the audit to
-    # report false violations, which must be disc_contains' own
-    s = sample(system, depth=depth, require_verified=False)
-    index = dict(s.discs)
-    want = tuple((word, word[:-1]) for word, disc in s.discs
-                 if len(word) >= 2 and not disc_contains(
-                     index[word[:-1]], disc, tol=AUDIT_SLACK))
+def test_deep_audit_reports_no_false_violation(system, depth):
+    # discs this deep cancel digits in a per-disc inversive product;
+    # the letter-pair audit never tests them, so it finds every one
+    # nested
+    s = sample(system, depth=depth)
     report = disconnectedness_report(s)
-    assert want and report.violations == want
+    assert report.violations == () and report.monotone
     assert report.checked == len(s.discs) - 4
 
 
 def test_audit_decisions_inside_the_slack_band():
-    # children of the unit disc within a few AUDIT_SLACK of internal
-    # tangency, inside it or around it, so both of disc_contains'
-    # thresholds decide some of them
+    # children of the unit disc within a few TOL of internal tangency,
+    # inside it or around it, so both of disc_contains' thresholds
+    # decide some of them
     parent = SphereDisc.from_center_radius(0, 1.0)
     discs = [((1,), parent)]
     for k in (-3, -1, -0.6, -0.4, 0, 0.4, 0.6, 1, 3):
-        d = k * AUDIT_SLACK
+        d = k * TOL
         for r in (0.3, 0.01):
             discs.append(((1, len(discs) + 1), SphereDisc.from_center_radius(
                 cmath.rect(1 - r + d, 0.7), r)))
@@ -307,6 +323,6 @@ def test_audit_decisions_inside_the_slack_band():
                       SphereDisc.from_center_radius(-0.5, 1.5 + d)))
     s = LimitSetSample(2, tuple(discs), (), (2.0, 2.0))
     want = tuple((word, (1,)) for word, disc in discs[1:]
-                 if not disc_contains(parent, disc, tol=AUDIT_SLACK))
+                 if not disc_contains(parent, disc))
     assert 0 < len(want) < len(discs) - 1
     assert disconnectedness_report(s).violations == want

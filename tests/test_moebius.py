@@ -358,12 +358,11 @@ class TestTrustedProducts:
 
 
 class TestTolerancePolicy:
-    # moebius.TOL decides every geometric question; only these take a
-    # tolerance (disc_contains until its nesting test is rewritten)
+    # moebius.TOL decides every geometric question; only these Moebius
+    # map tests take a tolerance
     KEPT = {("moebius.projectively_equal", "tol"),
             ("moebius.is_identity_map", "tol"),
-            ("moebius.classify", "tol"),
-            ("sphere_geometry.disc_contains", "tol")}
+            ("moebius.classify", "tol")}
     MODULES = ("moebius", "sphere_geometry", "schottky", "basic_groups",
                "combination", "group_algebra", "cyclic_case", "limitset",
                "cli")

@@ -251,15 +251,15 @@ class TestInversiveProduct:
 
 
 class TestContainsKernel:
-    """_contains_kernel(outer, tol)(inner) is the two-step containment test:
-    inversive product at least 1 - tol, then a point of inner's circle
-    within tol of outer's closed side."""
+    """disc_contains(outer, inner) is the two-step containment test:
+    inversive product at least 1 - TOL, then a point of inner's circle
+    within TOL of outer's closed side."""
 
     @staticmethod
-    def _reference(outer, inner, tol):
-        if inversive_product(inner, outer) < 1.0 - tol:
+    def _reference(outer, inner):
+        if inversive_product(inner, outer) < 1.0 - TOL:
             return False
-        return outer.signed_eval(inner.circle.a_point()) <= tol
+        return outer.signed_eval(inner.circle.a_point()) <= TOL
 
     def test_seeded_discs_agree_with_reference(self):
         rng = random.Random(31)
@@ -276,14 +276,11 @@ class TestContainsKernel:
             pool.append(SphereDisc.from_center_radius(0.7 + d, 0.3))
             pool.append(SphereDisc.from_center_radius(-0.5, 1.5 + d))
         seen = set()
-        for tol in (TOL, 1e-7):
-            for outer in pool:
-                contains = sphere_geometry._contains_kernel(outer, tol)
-                for inner in pool:
-                    want = self._reference(outer, inner, tol)
-                    assert contains(inner) == want
-                    assert disc_contains(outer, inner, tol) == want
-                    seen.add(want)
+        for outer in pool:
+            for inner in pool:
+                want = self._reference(outer, inner)
+                assert disc_contains(outer, inner) == want
+                seen.add(want)
         assert seen == {True, False}
 
 
