@@ -9,6 +9,7 @@ not a proof; a failed check always carries a concrete witness.
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from .moebius import (MoebiusMap, _map_kind, projectively_equal,
@@ -17,8 +18,8 @@ from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_contains, disc_image,
                               disc_relation, image_relation, map_circle)
 from . import group_algebra
-from .group_algebra import (symbolic_model, enumerate_elements, walk_tree,
-                            walk_expanded)
+from .group_algebra import (LeafSymbolic, symbolic_model, enumerate_elements,
+                            walk_tree, walk_expanded)
 from .schottky import Check, CheckReport
 
 
@@ -72,6 +73,11 @@ class FreeProductNode:
     # certified nodes only: ((B1, its precise-invariance check),
     # (B2, its check)), read by a later junction's ping-pong check
     discs = None
+    # certified nodes only: the frozenset of the tree's generator names
+    names = None
+    # certified trivial-amalgam nodes only: (depth, listing) of the right
+    # factor from its B2 check, until a junction built on this node takes it
+    right_listing = None
 
     def __init__(self, left, right, amalgam, amalgam_order, amalgam_elements,
                  amalgam_images, certificate):
@@ -192,31 +198,115 @@ class GroupData:
         # a BasicGroup-like object
         return cls(source.symbolic, dict(source.gens))
 
-    def word_matrix(self, word):
-        m = MoebiusMap.identity()
-        for name, exp in word:
-            m = m * self.matrices[name] ** exp
-        return m
-
     def elements(self, depth, max_count=None):
         """EnumeratedElements over the group to the given depth.
 
-        Matrices are built one multiplication per element by walking the
-        shortest-word tree (BFS order guarantees each word's parent was
-        already seen).
+        The symbolic listing (enumerate_elements) comes by generator
+        position; a leaf's is shared by every leaf of its presentation
+        (see _LEAF_LISTINGS).  Words and matrices are this group's own:
+        each element's matrix is its BFS parent's times one generator or
+        inverse, so every triple is what a fresh listing of this group
+        gives, bit for bit.
         """
-        result = enumerate_elements(self.model, depth, max_count=max_count)
-        inverses = {name: m.inverse() for name, m in self.matrices.items()}
-        by_word = {(): MoebiusMap.identity()}
-        triples = []
-        for elem, word in result.elements.items():
+        names, listing = _symbolic_listing(self.model, depth, max_count)
+        letters = []
+        moves = []
+        for name in names:
+            m = self.matrices[name]
+            letters += ((name, 1), (name, -1))
+            moves += (m, m.inverse())
+        words = [()]
+        matrices = [MoebiusMap.identity()]
+        for parent, step in zip(listing.parents, listing.steps):
+            words.append(words[parent] + (letters[step],))
+            matrices.append(matrices[parent] * moves[step])
+        return EnumeratedElements(
+            list(zip(listing.elements, words, matrices)),
+            listing.exhausted, listing.depth_completed)
+
+
+@dataclass(frozen=True)
+class _Listing:
+    """An EnumerationResult by generator position.
+
+    elements are in BFS order, the identity first.  Element i + 1 is
+    element parents[i] times step steps[i], where step 2j is generator j
+    of the model's generators() and 2j + 1 its inverse.
+    """
+
+    elements: tuple
+    parents: tuple
+    steps: tuple
+    exhausted: bool
+    depth_completed: int
+
+    @classmethod
+    def of(cls, model, names, depth, max_count):
+        result = enumerate_elements(model, depth, max_count=max_count)
+        step_of = {}
+        for j, name in enumerate(names):
+            step_of[(name, 1)] = 2 * j
+            step_of[(name, -1)] = 2 * j + 1
+        index = {}
+        parents = []
+        steps = []
+        for i, word in enumerate(result.elements.values()):
+            index[word] = i
             if word:
-                name, exp = word[-1]
-                step = self.matrices[name] if exp > 0 else inverses[name]
-                by_word[word] = by_word[word[:-1]] * step
-            triples.append((elem, word, by_word[word]))
-        return EnumeratedElements(triples, result.exhausted,
-                                  result.depth_completed)
+                parents.append(index[word[:-1]])
+                steps.append(step_of[word[-1]])
+        return cls(tuple(result.elements), tuple(parents), tuple(steps),
+                   result.exhausted, result.depth_completed)
+
+
+class _ListingIntern:
+    """Symbolic leaf listings keyed on the presentation, least recently
+    used evicted first so that at most `bound` elements are held.
+
+    A LeafSymbolic's multiplication depends on its rank, torsion orders
+    and action only, and its generators() come free names first, then
+    torsion names, so one listing by position serves every leaf of the
+    presentation, whatever its names or frame.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.held = 0
+        self._entries = OrderedDict()
+
+    def get(self, key):
+        listing = self._entries.get(key)
+        if listing is not None:
+            self._entries.move_to_end(key)
+        return listing
+
+    def put(self, key, listing):
+        size = len(listing.elements)
+        if size > self.bound:
+            return
+        self._entries[key] = listing
+        self.held += size
+        while self.held > self.bound:
+            _, old = self._entries.popitem(last=False)
+            self.held -= len(old.elements)
+
+
+_LEAF_LISTINGS = _ListingIntern(2 * ENUMERATION_BUDGET)
+
+
+def _symbolic_listing(model, depth, max_count):
+    """(generator names, _Listing) of the model to the depth; leaf
+    presentations come from _LEAF_LISTINGS."""
+    if not isinstance(model, LeafSymbolic):
+        names = tuple(model.generators())
+        return names, _Listing.of(model, names, depth, max_count)
+    names = model.free_names + model.torsion_names
+    key = (model.rank, model.torsion.orders, model.action, depth, max_count)
+    listing = _LEAF_LISTINGS.get(key)
+    if listing is None:
+        listing = _Listing.of(model, names, depth, max_count)
+        _LEAF_LISTINGS.put(key, listing)
+    return names, listing
 
 
 def _cyclic_closure(model, g, cap=64):
@@ -318,7 +408,9 @@ def _ping_pong_invariance(left, X, depth):
     from L carries B2 into B1 and, by (b), X into B1.  So g(X) lies in
     B2 when g's first letter (leftmost) is from G; in l(B2), which
     misses X by (b) for l^-1, when it is l followed by other letters;
-    and off X by (a) when g = l.  Only L is listed, to `depth`.
+    and off X by (a) when g = l.  Only L is listed, to `depth`: the
+    listing left's own B2 check made (left.right_listing) when it was
+    made to this depth, else a new one.
 
     The status is the weakest of the two recorded checks and this
     listing, the depth the smallest.  Returns None when left is not such
@@ -331,8 +423,10 @@ def _ping_pong_invariance(left, X, depth):
     (B1, b1_check), (B2, b2_check) = left.discs
     if not disc_contains(B1, X):
         return None
-    listed = GroupData.from_node(left.right).elements(
-        depth, max_count=ENUMERATION_BUDGET)
+    listed_depth, listed = left.right_listing or (None, None)
+    if listed_depth != depth:
+        listed = GroupData.from_node(left.right).elements(
+            depth, max_count=ENUMERATION_BUDGET)
     onto_x = image_relation(X, X)
     onto_b2 = image_relation(X, B2)
     for _, word, matrix in listed.triples:
@@ -375,15 +469,24 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     When the amalgam is trivial and left is itself a certified
     trivial-amalgam product G * L with discs (C1, C2), B1's invariance
     in left is derived by ping-pong from C1's and C2's recorded checks
-    and one listing of L, provided B1 lies in C1 and no non-identity
-    element of L moves B1 to meet B1 or C2.  Otherwise, and whenever
-    that derivation fails, the whole left group is listed.
+    and the listing of L that left's B2 check made, provided B1 lies in
+    C1 and no non-identity element of L moves B1 to meet B1 or C2.
+    Otherwise, and whenever that derivation fails, the whole left group
+    is listed.  So a chain built leaf by leaf lists each leaf once: the
+    new node keeps its right factor's listing for the next junction, and
+    drops left's, which it has used (a second junction built on left
+    lists L again).
+
+    Neither factor's symbolic model or matrices are built for the whole
+    left tree unless an amalgam or that fallback needs them: generator
+    names are checked against left's recorded names, which a certified
+    node carries, so a k-leaf chain does O(k) tree work.
     """
     left = as_node(left)
     right = as_node(right)
-    left_data = GroupData.from_node(left)
     right_data = GroupData.from_node(right)
-    dupes = set(left_data.matrices) & set(right_data.matrices)
+    left_names = _generator_names(left)
+    dupes = left_names & right_data.matrices.keys()
     if dupes:
         raise CombinationError(
             f"generator names shared across factors: {sorted(dupes)}")
@@ -397,7 +500,9 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     amalgam_elements = None
     amalgam_images = None
     h_left = h_right = None
+    left_data = right_listed = None
     if amalgam is not None:
+        left_data = GroupData.from_node(left)
         h_left, h_right = amalgam
         try:
             disp_l, m_left, e_left = resolve_generator_word(left_data, h_left)
@@ -425,15 +530,33 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     b1_check = (_ping_pong_invariance(left, B1, depth)
                 if h_left is None else None)
     if b1_check is None:
-        b1_check = _invariance(B1, h_left, left_data, depth)
+        b1_check = _invariance(B1, h_left,
+                               left_data or GroupData.from_node(left), depth)
     b1_check = _require_invariant(report, "B1", b1_check, "left factor")
+    if h_right is None:
+        right_listed = right_data.elements(depth,
+                                           max_count=ENUMERATION_BUDGET)
     b2_check = _require_invariant(
-        report, "B2", _invariance(B2, h_right, right_data, depth),
+        report, "B2", _invariance(B2, h_right, right_data, depth,
+                                  right_listed),
         "right factor")
     node = FreeProductNode(left, right, amalgam, amalgam_order,
                            amalgam_elements, amalgam_images, report)
     node.discs = ((B1, b1_check), (B2, b2_check))
+    node.names = left_names | right_data.matrices.keys()
+    if right_listed is not None:
+        node.right_listing = (depth, right_listed)
+    if left.kind == "product":
+        left.right_listing = None
     return node
+
+
+def _generator_names(node):
+    """The tree's generator names: a certified product's record, else a
+    walk (which rejects names used twice)."""
+    if node.kind == "product" and node.names is not None:
+        return node.names
+    return frozenset(collect_matrices(node))
 
 
 def uncertified_free_product(left, right):

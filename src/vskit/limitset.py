@@ -17,14 +17,17 @@ nests in D_x, so the audit decides the 2g(2g-1) level-2 words once and
 judges every deeper word by its last two letters.
 
 Each word of a pairing sample costs one Moebius product (its map, from
-its parent's), one pushforward of its last letter's disc through the
-parent's map (disc_image) and one kind decision with one fixed-point
-solve (moebius._map_kind, then moebius._solve_fixed_points).  The image
-disc's side is the sign that made its circle canonical, so its oriented
-form is the pushed-forward form itself, and the fixed points are those
-of fixed_points for exactly the maps classify calls loxodromic: both
-are bit for bit what classify, fixed_points and a sign test of the raw
-against the canonical coefficients give.
+its parent's) and one pushforward of its last letter's disc through the
+parent's map (disc_image).  A word adds fixed points only when it is the
+first of its root class in BFS order (not a proper power, and before its
+inverse), decided from its letters; only then does it cost one kind
+decision and one fixed-point solve (moebius._map_kind, then
+moebius._solve_fixed_points).  The image disc's side is the sign that
+made its circle canonical, so its oriented form is the pushed-forward
+form itself, and the fixed points are those of fixed_points for exactly
+the maps classify calls loxodromic: both are bit for bit what classify,
+fixed_points and a sign test of the raw against the canonical
+coefficients give.
 """
 
 from dataclasses import dataclass
@@ -110,6 +113,39 @@ def _collect_fixed_points(m, out, seen):
             out.append(p)
 
 
+def _first_of_root_class(word, rank, primes):
+    """Does this reduced word add fixed points no earlier word added?
+
+    Write the word as w = u c u^-1 with c cyclically reduced.  w is a
+    proper power exactly when c = c0^k with k >= 2 (k may be taken
+    prime), and then its root u c0 u^-1 is shorter, so comes first in
+    BFS order; w^-1 has w's length and comes after w exactly when w's
+    letter ranks lower where the two first differ, which is where u
+    ends.  A map shares its fixed points with its powers and its
+    inverse, so only the first word of each class {r^k : k != 0} of a
+    root r adds them, and no point is lost.  In a free discrete group
+    two loxodromic words share a fixed point only within such a class
+    (their roots generate a cyclic group), so none is repeated either;
+    an unverified system may repeat points.
+    """
+    n = len(word)
+    i = 0
+    while word[i] == -word[n - 1 - i]:
+        i += 1
+    if rank[word[i]] > rank[-word[n - 1 - i]]:
+        return False
+    c = word[i:n - i]
+    for k in primes[len(c)]:
+        if c[:len(c) // k] * k == c:
+            return False
+    return True
+
+
+def _prime_divisors(n):
+    return tuple(k for k in range(2, n + 1)
+                 if n % k == 0 and all(k % j for j in range(2, k)))
+
+
 def _sample_pairing(system, depth, require_verified, budget):
     discs_by_letter = letter_discs(system, strict=require_verified)
     genus = system.genus
@@ -119,20 +155,26 @@ def _sample_pairing(system, depth, require_verified, budget):
     while eff > 1 and count_reduced_words(genus, eff) > budget:
         eff -= 1
     gens = {x: system.generator(x) for x in discs_by_letter}
+    # reduced_words' letter order within a length, and each length's
+    # prime divisors
+    rank = {x: r for r, x in enumerate(
+        x for j in range(1, genus + 1) for x in (j, -j))}
+    primes = [_prime_divisors(n) for n in range(eff + 1)]
 
     def extend(value, y):
         m, _ = value
         return m * gens[y], disc_image(m, discs_by_letter[y])
 
     discs, points, maxdiam = [], [], []
-    seen = set()
     for word, (m, disc) in reduced_words(
             genus, eff, lambda x: (gens[x], discs_by_letter[x]), extend):
         if len(word) > len(maxdiam):
             maxdiam.append(0.0)
         discs.append((word, disc))
         maxdiam[-1] = max(maxdiam[-1], disc.circle.spherical_diameter())
-        _collect_fixed_points(m, points, seen)
+        if _first_of_root_class(word, rank, primes) \
+                and _map_kind(m) == "loxodromic":
+            points.extend(_solve_fixed_points(m))
     return LimitSetSample(eff, tuple(discs), tuple(points), tuple(maxdiam))
 
 
@@ -161,18 +203,21 @@ def sample(source, depth=8, require_verified=True,
     """Approximate the limit set of a pairing system, leaf, or tree.
 
     Pairing systems yield the full disc tree to the requested depth
-    (capped by circle_budget) plus fixed points of all word maps.
+    (capped by circle_budget) plus the fixed points of the word maps,
+    each root class of words adding its pair once (see
+    _first_of_root_class): every point, and for a verified system no
+    point twice; an unverified system may repeat points.
     Basic groups with a standard pairing are sampled through it; other
     leaves and assembled trees yield fixed points only.  Uncertified
     trees and unverified pairings are rejected unless
     require_verified=False.
 
-    A word of a pairing sample costs one product, one pushforward and
-    one fixed-point solve.  Its disc's side is the sign that made the
-    pushed-forward form canonical (the sign of raw times canonical
-    coefficients), and its fixed points come from fixed_points' own
-    solve after classify's own kind decision, so both are bit-identical
-    to what those functions return.
+    A word of a pairing sample costs one product, one pushforward and,
+    if it adds points, one fixed-point solve.  Its disc's side is the
+    sign that made the pushed-forward form canonical (the sign of raw
+    times canonical coefficients), and its fixed points come from
+    fixed_points' own solve after classify's own kind decision, so both
+    are bit-identical to what those functions return.
     """
     if isinstance(source, PairingSystem):
         return _sample_pairing(source, depth, require_verified, circle_budget)

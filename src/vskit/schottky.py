@@ -13,7 +13,7 @@ and the list of them, are shared with the combination certificates.
 from dataclasses import dataclass, field
 
 from .group_algebra import reduce_word
-from .moebius import MoebiusMap, _map_kind, fixed_points, is_identity_map, TOL
+from .moebius import _map_kind, fixed_points, is_identity_map, TOL
 from . import sphere_geometry
 from .sphere_geometry import SphereDisc, circles_equal, discs_same, disc_image
 
@@ -240,14 +240,6 @@ def letter_discs(system, strict=True):
     if signs is None:
         raise DegeneratePairingError(problem)
     return _letter_discs(system, signs)
-
-
-def word_map(system, word):
-    """The Moebius map of a reduced word."""
-    m = MoebiusMap.identity()
-    for letter in word:
-        m = m * system.generator(letter)
-    return m
 
 
 def reduced_words(genus, depth, start=None, extend=None):

@@ -22,8 +22,7 @@ from vskit.cyclic_case import build_cyclic, enumerate_signatures
 from vskit.limitset import disconnectedness_report, sample
 from vskit.moebius import MoebiusMap, classify, is_identity_map, \
     projectively_equal
-from vskit.schottky import PairingSystem, reduced_words, verify_pairing, \
-    word_map
+from vskit.schottky import PairingSystem, reduced_words, verify_pairing
 from vskit.sphere_geometry import SphereCircle
 
 PROJ_TOL = 1e-9
@@ -135,10 +134,11 @@ def test_ac4_ping_pong_freeness():
     t0 = time.perf_counter()
     system = _rank2_system()
     verified = verify_pairing(system).ok
-    words = list(reduced_words(2, 6))
+    words = list(reduced_words(2, 6, system.generator,
+                               lambda m, y: m * system.generator(y)))
     kinds = {}
-    for w in words:
-        kind = classify(word_map(system, w), PROJ_TOL).kind
+    for _, m in words:
+        kind = classify(m, PROJ_TOL).kind
         kinds[kind] = kinds.get(kind, 0) + 1
     elapsed = time.perf_counter() - t0
     ok = (verified and len(words) == 1456

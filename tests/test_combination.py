@@ -18,8 +18,9 @@ from vskit.combination import (CombinationError, Leaf, GroupData,
                                node_certificates, format_word,
                                station_frame, station_boundary,
                                PlacementChain, chain_leaves)
-from vskit.group_algebra import (euler_characteristic, normal_form,
-                                 symbolic_model, walk_expanded)
+from vskit import group_algebra
+from vskit.group_algebra import (enumerate_elements, euler_characteristic,
+                                 normal_form, symbolic_model, walk_expanded)
 from vskit.basic_groups import make_b3, make_basic
 from vskit.cyclic_case import CyclicSignature, build_cyclic
 
@@ -470,6 +471,14 @@ def test_assembled_words_are_faithful_to_depth_three():
     assert seen > 100
 
 
+def _word_matrix(matrices, word):
+    """The product of a word's generator matrices, left to right."""
+    m = MoebiusMap.identity()
+    for name, exp in word:
+        m = m * matrices[name] ** exp
+    return m
+
+
 def test_normal_forms_agree_with_faithful_matrices():
     # the combination theorem makes a certified chain the free product of
     # its leaves, so its matrices represent it faithfully: a word's normal
@@ -508,7 +517,8 @@ def test_normal_forms_agree_with_faithful_matrices():
         trivial = model.is_identity(normal_form(node, w))
         # entries reach ~300, so identity words land within 3e-7 of
         # +-I; no other word here comes within 0.7 of it
-        assert trivial == is_identity_map(data.word_matrix(w), 1e-5), \
+        assert trivial == is_identity_map(_word_matrix(data.matrices, w),
+                                          1e-5), \
             format_word(w)
         identities += trivial
     assert identities >= 360 and len(words) - identities >= 350
@@ -701,3 +711,143 @@ def test_certified_chain_lists_one_leaf_per_listing(monkeypatch):
              for c in cert.checks if c.name.endswith("left factor")]
     assert lines == ["[pass to depth 6] B1 precise invariance in left "
                      "factor"] * 8
+
+
+# ---------------------------------------------------------------------------
+# leaf listings shared by presentation
+
+
+def _direct_listing(group, depth, max_count):
+    """A fresh listing of one group: enumerate_elements on its own model,
+    then one product per element from its BFS parent's matrix."""
+    result = enumerate_elements(group.symbolic, depth, max_count=max_count)
+    inverses = {name: m.inverse() for name, m in group.gens.items()}
+    by_word = {(): MoebiusMap.identity()}
+    triples = []
+    for elem, word in result.elements.items():
+        if word:
+            name, exp = word[-1]
+            step = group.gens[name] if exp > 0 else inverses[name]
+            by_word[word] = by_word[word[:-1]] * step
+        triples.append((elem, word, by_word[word]))
+    return triples, result.exhausted, result.depth_completed
+
+
+def _bits(triples):
+    return [(elem, word, repr((m.a, m.b, m.c, m.d, m.conformal)))
+            for elem, word, m in triples]
+
+
+def _fresh_intern(monkeypatch):
+    intern = combination._ListingIntern(2 * combination.ENUMERATION_BUDGET)
+    monkeypatch.setattr(combination, "_LEAF_LISTINGS", intern)
+    return intern
+
+
+def _counting_enumerations(monkeypatch):
+    models = []
+    real = combination.enumerate_elements
+
+    def counted(model, depth, max_count=None):
+        models.append(model)
+        return real(model, depth, max_count=max_count)
+
+    monkeypatch.setattr(combination, "enumerate_elements", counted)
+    return models
+
+
+BASIC_SAMPLES = [("T1", {"n": 3}), ("T2", {"lam": 4.0}), ("T3", {}),
+                 ("T4", {"n": 3, "lam": 4.0}), ("T5", {"lam": 4.0}),
+                 ("T6", {"lam1": 30.0, "lam2": 4.0}),
+                 ("T7", {"lam1": 4, "lam2": 7, "lam3": 11})]
+
+
+@pytest.mark.parametrize("btype, params, max_count", [
+    *((btype, params, combination.ENUMERATION_BUDGET)
+      for btype, params in BASIC_SAMPLES),
+    ("T6", {"lam1": 30.0, "lam2": 4.0}, 500)],
+    ids=[btype for btype, _ in BASIC_SAMPLES] + ["T6-cut"])
+def test_shared_listing_is_the_direct_listing(monkeypatch, btype, params,
+                                              max_count):
+    # the second leaf has other names and another frame but the first
+    # leaf's presentation, so its symbolic listing is the shared one;
+    # elements, words, order and matrices match a fresh listing bit for bit
+    _fresh_intern(monkeypatch)
+    models = _counting_enumerations(monkeypatch)
+    first = make_basic(btype, prefix="p.", **params)
+    second = make_basic(btype, prefix="q.", **params).conjugated_by(
+        station_frame(7.0, first.standard_scale()))
+    GroupData.coerce(first).elements(6, max_count=max_count)
+    listed = GroupData.coerce(second).elements(6, max_count=max_count)
+    assert models == [first.symbolic]
+    triples, exhausted, depth_completed = _direct_listing(second, 6,
+                                                          max_count)
+    assert _bits(listed.triples) == _bits(triples)
+    assert (listed.exhausted, listed.depth_completed) \
+        == (exhausted, depth_completed)
+    if max_count == 500 or btype == "T7":
+        assert depth_completed < 6 and not exhausted
+
+
+def test_certified_chain_lists_each_leaf_once(monkeypatch):
+    # counters, not a clock: a k-leaf chain makes one GroupData.elements
+    # call per placed leaf, one symbolic enumeration per distinct leaf
+    # presentation, and tree walks linear in k (a whole-chain model or
+    # matrix dict at each junction would make them quadratic)
+    listed = []
+    walked = [0]
+    real_elements = GroupData.elements
+
+    def elements(self, depth, max_count=None):
+        listed.append(frozenset(self.matrices))
+        return real_elements(self, depth, max_count)
+
+    def counting(walk):
+        def counted(tree):
+            for node in walk(tree):
+                walked[0] += 1
+                yield node
+        return counted
+
+    monkeypatch.setattr(GroupData, "elements", elements)
+    monkeypatch.setattr(group_algebra, "walk_tree",
+                        counting(group_algebra.walk_tree))
+    monkeypatch.setattr(combination, "walk_tree",
+                        counting(combination.walk_tree))
+    models = _counting_enumerations(monkeypatch)
+    kinds = [("T2", {"lam": 4.0}), ("T1", {"n": 3}),
+             ("T4", {"n": 2, "lam": 4.0})]
+    for k in (6, 12, 24):
+        _fresh_intern(monkeypatch)
+        listed.clear()
+        models.clear()
+        walked[0] = 0
+        groups = [make_basic(kinds[i % 3][0], prefix=f"x{i}.",
+                             **kinds[i % 3][1]) for i in range(k)]
+        chain = PlacementChain()
+        for group in groups:
+            chain.append(group)
+        assert sorted(listed, key=sorted) \
+            == sorted((frozenset(g.gens) for g in chain.groups), key=sorted)
+        assert len(models) == 3
+        assert walked[0] <= 3 * k
+
+
+def test_listing_intern_holds_its_bound(monkeypatch):
+    # least recently used first out: under a 2610-element bound the T6
+    # listing (2588 elements) evicts the T4 one (35) but not the T2 one
+    # (13), which was used since; a listing larger than the bound is
+    # never held
+    intern = combination._ListingIntern(2610)
+    monkeypatch.setattr(combination, "_LEAF_LISTINGS", intern)
+    models = _counting_enumerations(monkeypatch)
+    t2 = make_basic("T2", lam=4.0)
+    t4 = make_basic("T4", n=3, lam=4.0)
+    t6 = make_basic("T6", lam1=30.0, lam2=4.0)
+    t7 = make_basic("T7", lam1=4, lam2=7, lam3=11)
+    for group in (t2, t4, t2, t6, t2, t4, t7, t7):
+        GroupData.coerce(group).elements(6, combination.ENUMERATION_BUDGET)
+        assert intern.held <= intern.bound
+    assert models == [t2.symbolic, t4.symbolic, t6.symbolic, t4.symbolic,
+                      t7.symbolic, t7.symbolic]
+    assert intern.held == 13 + 35

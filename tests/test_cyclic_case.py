@@ -257,9 +257,10 @@ class TestBuild:
         word = (("t1.L", 1), ("e1.E", 1), ("t1.L", -1), ("e1.E", -1))
         assert built.theta.apply(word) == built.theta.target.zero()
         data = GroupData(assembled.model, assembled.generators)
-        assert classify(data.word_matrix(word)).kind == "loxodromic"
-        assert classify(data.word_matrix(
-            (("t1.L", 4),))).kind == "loxodromic"
+        matrices = {elem: m for elem, _, m in data.elements(4).triples}
+        for w in (word, (("t1.L", 4),)):
+            elem = normal_form(built.tree, w)
+            assert classify(matrices[elem]).kind == "loxodromic"
 
     def test_theta_orders_match_factor_orders(self):
         sig = CyclicSignature(12, a=1, m_orders=(2, 6), c=1, n_orders=(4,))

@@ -10,7 +10,7 @@ from vskit.combination import assemble
 from vskit.cyclic_case import CyclicSignature, build_cyclic
 from vskit.limitset import (LimitSetSample, disconnectedness_report,
                             export_lines, render, sample)
-from vskit.moebius import INF, TOL, MoebiusMap
+from vskit.moebius import INF, TOL, MoebiusMap, classify, fixed_points
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduced_words, word_census)
@@ -141,6 +141,51 @@ class TestDecay:
         assert report.max_terminal_diameter < 16.0 * 4.0 ** -10
 
 
+def _root_class_count(genus, depth):
+    """Classes {r^k : k != 0} among the nonempty reduced words, counted
+    from the definition: w = u c u^-1, with c cyclically reduced, has
+    the root u c0 u^-1 for the shortest c0 of which c is a power."""
+    classes = set()
+    for w in reduced_words(genus, depth):
+        i = 0
+        while w[i] == -w[-1 - i]:
+            i += 1
+        u, c = w[:i], w[i:len(w) - i]
+        p = min(p for p in range(1, len(c) + 1)
+                if c[:p] * (len(c) // p) == c)
+        root = u + c[:p] + tuple(-x for x in reversed(u))
+        classes.add(min(root, tuple(-x for x in reversed(root))))
+    return len(classes)
+
+
+class TestFixedPoints:
+    def test_one_pair_of_points_per_root_class(self):
+        # the rank-2 group is free and discrete, so two loxodromic words
+        # share a fixed point exactly when they are powers of one root;
+        # a 9-digit rounded key merged 8 of these points at depth 6
+        s = sample(_rank2_system(), depth=6)
+        assert len(s.points) == 2 * _root_class_count(2, 6) == 1332
+        assert len(set(s.points)) == len(s.points)
+
+    @pytest.mark.parametrize("verified", [True, False])
+    def test_no_fixed_point_is_lost(self, verified):
+        # powers and inverses share fixed points in any group, so even an
+        # unverified system keeps every word's points
+        system = _rank2_system() if verified \
+            else TestNegativeControls()._corrupted()
+        s = sample(system, depth=4, require_verified=verified)
+        finite = [p for p in s.points if p is not INF]
+        words = reduced_words(2, 4, system.generator,
+                              lambda m, y: m * system.generator(y))
+        for word, m in words:
+            if classify(m).kind != "loxodromic":
+                continue
+            for p in fixed_points(m):
+                assert p in s.points if p is INF else \
+                    min(abs(p - q) for q in finite) <= 1e-9 * (1 + abs(p)), \
+                    word
+
+
 class TestRender:
     def test_deterministic_bytes(self):
         s = sample(_rank2_system(), depth=4)
@@ -222,41 +267,41 @@ _VARIANTS = {
 # variant sampled to depth 6; repr pins floats to the last bit.
 _GOLDEN = {
     "general-a":
-        "4918fc74070337184a25d8141cb52ccaec2b4215f9930ee2d9f54bc0b0a45ebe",
+        "256d2a607b40dc2526b61183c4465976b183a4e1c5fb908b1572f60743f32fcf",
     "general-b":
-        "910fe2949c0f07b425e1255d3c1f65c07c32149a3ef21f33fb7c34188e87e65f",
+        "ba4c98b7991782d8d43c2d28e78774bf7ce7c59eaaaa905325dbdf04dd31f6dc",
     "q0s0i00":
-        "80747535e963083ecdb582d5f0ce2e18403f4005a93e309d903dcdea02b0e506",
+        "7fb129edf418b8a2eeeb6bc994a5c9a0632c084f4d22060f3af7904f49d114c8",
     "q0s0i01":
-        "2868b2dc5448d09fecf24414ca42421097f0f0f7b2bd756a8398bd787ff20285",
+        "4a6d07982055891b2c779caa0020789a59ab66147b2aa163961ee4cb6c3234fb",
     "q0s0i10":
-        "7b3878d747d2f13173cbaafb8bd21ff17a602e3ff2f31498e51a7efc62d4bdfb",
+        "82506cf98337710c9b6250b6e19f20f4640fa3b32e10e9f8e32ea5f4ee5613b8",
     "q0s0i11":
-        "7b752ecdbdbf555eaf2b2944d6b69b7ef8efa95a319f5f7fc353a195436ccdb8",
+        "22805328c06551a6b3c2698c379be28d83c226889a8c9ab13055cf087015ced6",
     "q0s1i00":
-        "63799915747337972b1df50e0f2316e28170abb8ec55a5462fc4c22ad08b9980",
+        "c3b9e32e4a5eb93ee96d182a25e2cf2daea577a965593c921872fef4a1716ae6",
     "q0s1i01":
-        "5f8a6dfa279375b52c7adc941adc5ef3c6b9f5839c238e773760063bc587bffd",
+        "441d33aba00d6f88021c0ea10990dc576a5c4df1caaa763854b418744511d7f4",
     "q0s1i10":
-        "214fe4134bde088879f7099b17e320e90b08ee4ee6c6c3b55e4846696c6a5fb7",
+        "f0882fddae853dda5f533d279ec5d40206c1683ad0811304a6ee19f1c64e78f6",
     "q0s1i11":
-        "0b53f74cd3aeca94308b14fa987aec9cad34daa673b49f61791c574dcb9da4ab",
+        "a2aef02c23ab27a3b3663c42950b56225652a2f801041f108062a677291eb687",
     "q1s0i00":
-        "3647c42c5e5f4ca8ac7cb3796f15bf105ae7307f33dd9bb0d1128b6a4e4f7158",
+        "9d6a6f2962c0ad7ad18e6a922bb684b2cc77d01a6886bc9f780fa003ef833811",
     "q1s0i01":
-        "a92845dc33c90c86d72a4009edc75c9061b31616a22c02b9dd9094d1f0cf2fbe",
+        "27a2e3a6af1ab84e9ca8528ab313c8091c0af881ccb5736ca4d930832ab983d2",
     "q1s0i10":
-        "46c878f9e6c0095774ba84bd43fb5e0a2379a93bdd0a8a81dba517e25cc3fb3a",
+        "c058a6161bdea7772a78a437f0e735b447db628f361f499def0fa109d31c92b3",
     "q1s0i11":
-        "9fee7a92adca106026f9410d522e1eb32a8eb68ebb60a7429131eab0cad818f7",
+        "1c39e8a0c5d755e159f7e05f442fed1f2c2eb5fb107ef22978ca581f4701891e",
     "q1s1i00":
-        "4a603980092c2762d8366f79674eef191754bbcdce4823bbf60130a48941300d",
+        "030dec39d9a54c40965801cdfc7e0561e54f94e4a2277ae4d873ce15d174a831",
     "q1s1i01":
-        "d246e0fbc9afd33bc8ccd5571ec3dccfe82052d5553530e3158a6cebd1d85d40",
+        "0b38e813b556445e48c3bb63456a87d12806dd4cd9b369e7c3de181a15efb7a6",
     "q1s1i10":
-        "771d96a3e8dcb5262420650a09965a5f465318ae9601eff3f1fe88a7df34f1c1",
+        "8239f03fbd7f41159c886bb08c09d4fb17da523cea93d44f9460be78a02dc911",
     "q1s1i11":
-        "f8ec0c6166a6f083b8f59b047935c93c61a2ff45fb52dfe3e6ebb336865e3563",
+        "2abacd358ace3d1cc708de713d6cb0ccf4fe84728a92dc80eb7e8b8f2ba49e42",
 }
 
 

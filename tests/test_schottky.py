@@ -18,7 +18,7 @@ from vskit.sphere_geometry import SphereCircle, disc_contains, map_circle
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
                             count_reduced_words, is_nontrivial_to_depth,
                             ping_pong_disc, reduce_word, reduced_words,
-                            verify_pairing, word_census, word_map)
+                            verify_pairing, word_census)
 
 
 def rank_one():
@@ -59,12 +59,13 @@ class TestWords:
         assert len(list(reduced_words(genus, depth))) \
             == count_reduced_words(genus, depth)
 
-    def test_word_map(self):
+    def test_reduced_word_maps(self):
+        # a word's map, carried along the walk from its parent's
         ps = rank_one()
-        m = word_map(ps, (1, 1))
-        assert m(1) == pytest.approx(16)
-        m = word_map(ps, (-1,))
-        assert m(1) == pytest.approx(0.25)
+        maps = dict(reduced_words(1, 2, ps.generator,
+                                  lambda m, y: m * ps.generator(y)))
+        assert maps[(1, 1)](1) == pytest.approx(16)
+        assert maps[(-1,)](1) == pytest.approx(0.25)
 
 
 class TestVerification:
