@@ -162,9 +162,6 @@ class BasicGroup:
     def generator_names(self):
         return tuple(self.gens)
 
-    def quotient_description(self):
-        return list(self.quotient.orders)
-
     def in_standard_position(self):
         return is_identity_map(self.frame)
 

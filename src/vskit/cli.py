@@ -66,7 +66,7 @@ from .basic_groups import (BASIC_PARAMETERS, BASIC_TYPES, BasicGroupError,
                            OrbifoldSignature, make_basic, orbifold_signature)
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
                           free_product, hnn_extension)
-from .cyclic_case import describe, stream_signatures
+from .cyclic_case import describe, stream_shells
 from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
                             walk_tree)
 from .limitset import disconnectedness_report, render, sample
@@ -682,8 +682,12 @@ def _cmd_limitset(ns):
 def _cmd_enumerate(ns):
     if ns.n < 2 or ns.g_max < 0:
         raise SceneError("need n >= 2 and g_max >= 0")
-    for sig in stream_signatures(ns.n, ns.g_max):
-        print(describe(sig))
+    # one write per shell, made before the next shell is built, so the
+    # first line still follows shell 0 at once
+    write = sys.stdout.write
+    for shell in stream_shells(ns.n, ns.g_max):
+        if shell:
+            write("".join(describe(sig) + "\n" for sig in shell))
     return 0
 
 

@@ -16,7 +16,8 @@ from .moebius import (MoebiusMap, _map_kind, projectively_equal,
                       is_identity_map)
 from .sphere_geometry import (SphereCircle, SphereDisc, circles_equal,
                               discs_same, disc_contains, disc_image,
-                              disc_relation, image_relation, map_circle)
+                              disc_relation, image_relation, image_relations,
+                              map_circle)
 from . import group_algebra
 from .group_algebra import (LeafSymbolic, symbolic_model, enumerate_elements,
                             walk_tree, walk_expanded)
@@ -427,11 +428,10 @@ def _ping_pong_invariance(left, X, depth):
     if listed_depth != depth:
         listed = GroupData.from_node(left.right).elements(
             depth, max_count=ENUMERATION_BUDGET)
-    onto_x = image_relation(X, X)
-    onto_b2 = image_relation(X, B2)
+    # (a) and (b) from one push of X through each element
+    onto_x_and_b2 = image_relations(X, (X, B2))
     for _, word, matrix in listed.triples:
-        if word and (onto_x(matrix) == "meets"
-                     or onto_b2(matrix) == "meets"):
+        if word and "meets" in onto_x_and_b2(matrix):
             return None
     exact = listed.exhausted and b1_check.status == b2_check.status == "pass"
     return Check("precise invariance", "pass" if exact else "bounded-pass",

@@ -18,7 +18,8 @@ groups along the real axis, with the exponent map attached.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 
 from .basic_groups import make_basic
 from .combination import (Leaf, PlacementChain, station_frame,
@@ -26,8 +27,8 @@ from .combination import (Leaf, PlacementChain, station_frame,
 from .group_algebra import FiniteAbelianGroup, QuotientMap, kernel_rank
 
 __all__ = ["CyclicSignature", "CyclicConstruction", "kernel_genus",
-           "stream_signatures", "enumerate_signatures", "build_cyclic",
-           "isomorphism_type", "describe"]
+           "stream_signatures", "stream_shells", "enumerate_signatures",
+           "build_cyclic", "isomorphism_type", "describe"]
 
 
 def _check_count(value, tag):
@@ -155,23 +156,29 @@ class CyclicSignature:
         """Kernel rank 0 or 1; the group is elementary, not Schottky-like."""
         return self.g <= 1
 
-    @property
-    def leaf_count(self):
-        return self.a + self.b + self.c + self.d
-
 
 def stream_signatures(n, g_max):
     """Every admissible signature over Z_n with genus at most g_max, lazily.
 
-    The arguments are checked at the call, before any record.  Records
-    then come one genus shell at a time, g = 0, ..., g_max, each shell
-    sorted on its own, so the stream is in (g, a, b, c, d, m_orders,
-    n_orders) order and memory is bounded by one shell.  Complete: each
-    unit of a or b adds n to the genus, each involution adds n/2 and
-    each elliptic factor of order v adds n - n/v, so a shell joins every
-    (a, b, c) whose part of twice the genus fits with the elliptic-order
+    The records of `stream_shells(n, g_max)`, chained: the arguments are
+    checked at the call, before any record, and the stream is in (g, a,
+    b, c, d, m_orders, n_orders) order with memory bounded by one shell.
+    """
+    return chain.from_iterable(stream_shells(n, g_max))
+
+
+def stream_shells(n, g_max):
+    """The admissible signatures over Z_n, one sorted list per genus shell.
+
+    The arguments are checked at the call, before any shell.  Shells
+    then come lazily, g = 0, ..., g_max, each list sorted on its own in
+    (a, b, c, d, m_orders, n_orders) order; shell g + 1 is built only
+    when asked for, after shell g is handed out.  Complete: each unit of
+    a or b adds n to the genus, each involution adds n/2 and each
+    elliptic factor of order v adds n - n/v, so a shell joins every (a,
+    b, c) whose part of twice the genus fits with the elliptic-order
     combinations making up the rest.  Those combinations are built only
-    up to the d that the current shell needs.
+    up to the d that the current shell needs.  A shell may be empty.
 
     Each record is built once, without re-running the constructor's
     validation: its order tuples are drawn sorted from the divisors of n
@@ -217,8 +224,10 @@ def _shells(n, g_max):
                         shell.extend((a, b, c, len(orders), m_orders, orders)
                                      for m_orders in m_combos[b])
         shell.sort()
-        for a, _, c, _, m_orders, orders in shell:
-            yield make(n, a, c, m_orders, orders, g)
+        # rebound, so the sort keys are freed before the shell is handed out
+        shell = [make(n, a, c, m_orders, orders, g)
+                 for a, _, c, _, m_orders, orders in shell]
+        yield shell
 
 
 def enumerate_signatures(n, g_max):
@@ -232,22 +241,51 @@ def enumerate_signatures(n, g_max):
     return list(stream_signatures(n, g_max))
 
 
-def isomorphism_type(sig):
-    """Canonical free-product expression for the group, as a string."""
+@lru_cache(maxsize=4096)
+def _order_text(orders, kind):
+    """The comma list of one order tuple and its factors of K, joined.
+
+    kind is "m" for the orders of the rank-one abelian factors Z + Z_m,
+    "n" for the elliptic ones; an empty tuple gives two empty strings.
+    An enumeration repeats few order tuples across many records (at
+    most 1548 for `enumerate-cyclic 12 80`, against 111k records), so
+    the text is built once per tuple; the bound keeps a long-running
+    process from holding every tuple ever formatted.
+    """
+    form = "(Z + Z_{})" if kind == "m" else "Z_{}"
+    return ",".join(map(str, orders)), " * ".join(map(form.format, orders))
+
+
+def _k_text(sig, m_factors, n_factors):
+    """K as "Z" a times, the m factors, "Z_2" c times, the n factors."""
     parts = ["Z"] * sig.a
-    parts += [f"(Z + Z_{m})" for m in sig.m_orders]
+    if m_factors:
+        parts.append(m_factors)
     parts += ["Z_2"] * sig.c
-    parts += [f"Z_{v}" for v in sig.n_orders]
+    if n_factors:
+        parts.append(n_factors)
     return " * ".join(parts)
 
 
+def isomorphism_type(sig):
+    """Canonical free-product expression for the group, as a string."""
+    return _k_text(sig, _order_text(sig.m_orders, "m")[1],
+                   _order_text(sig.n_orders, "n")[1])
+
+
 def describe(sig):
-    """One-line record for enumeration listings."""
+    """One-line record for enumeration listings.
+
+    The order lists and the factors they contribute to K come from a
+    bounded cache keyed on the order tuple, so a listing formats each
+    distinct tuple once.
+    """
     m_orders, n_orders, g = sig.m_orders, sig.n_orders, sig._g
+    m_list, m_factors = _order_text(m_orders, "m")
+    n_list, n_factors = _order_text(n_orders, "n")
     line = (f"g={g} a={sig.a} b={len(m_orders)} c={sig.c} d={len(n_orders)} "
-            f"m_orders=[{','.join(map(str, m_orders))}] "
-            f"n_orders=[{','.join(map(str, n_orders))}] "
-            f"K = {isomorphism_type(sig)}")
+            f"m_orders=[{m_list}] n_orders=[{n_list}] "
+            f"K = {_k_text(sig, m_factors, n_factors)}")
     return line + " [elementary]" if g <= 1 else line
 
 

@@ -212,9 +212,6 @@ class LeafSymbolic:
             out[name] = ((), tuple(t))
         return out
 
-    def is_finite(self):
-        return self.rank == 0
-
     def relations(self):
         """Defining relators as words of (name, exponent) letters: (t, d)
         for each torsion generator t of order d, the commutator of each

@@ -340,26 +340,3 @@ def _solve_fixed_points(m):
     if (p2.real, p2.imag) < (p1.real, p1.imag):
         return (p2, p1)
     return (p1, p2)
-
-
-def attracting_fixed_point(m):
-    """The attracting fixed point of a loxodromic map."""
-    cls = classify(m)
-    if cls.kind != "loxodromic":
-        raise ValueError(f"map is {cls.kind}, not loxodromic")
-    a, b, c, d = m.entries
-    t = a + d
-    root = cmath.sqrt(t * t - 4.0)
-    k1 = (t + root) / 2.0
-    k2 = (t - root) / 2.0
-    k = k1 if abs(k1) > abs(k2) else k2
-    # eigenvector (b, k - a) or (k - d, c); pick the better-conditioned one
-    v1, w1 = b, k - a
-    v2, w2 = k - d, c
-    if max(abs(v1), abs(w1)) >= max(abs(v2), abs(w2)):
-        v, w = v1, w1
-    else:
-        v, w = v2, w2
-    if abs(w) <= 1e-14 * max(1.0, abs(v)):
-        return INF
-    return sphere_point(v / w)

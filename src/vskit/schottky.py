@@ -13,7 +13,7 @@ and the list of them, are shared with the combination certificates.
 from dataclasses import dataclass, field
 
 from .group_algebra import reduce_word
-from .moebius import _map_kind, fixed_points, is_identity_map, TOL
+from .moebius import _map_kind, fixed_points, TOL
 from . import sphere_geometry
 from .sphere_geometry import SphereDisc, circles_equal, discs_same, disc_image
 
@@ -295,33 +295,13 @@ def ping_pong_disc(system, word):
     return disc
 
 
-def is_nontrivial_to_depth(system, depth):
-    """Certify that no nonempty reduced word up to depth is the identity.
-
-    Returns (ok, certificate) where the certificate records the number
-    of words inspected and the first offending word, if any.
-    """
-    _require_verified(system)
-    checked = 0
-    for word, m in _word_matrices(system, depth):
-        checked += 1
-        if is_identity_map(m):
-            return False, {"depth": depth, "words_checked": checked,
-                           "witness": word}
-    return True, {"depth": depth, "words_checked": checked, "witness": None}
-
-
 def word_census(system, depth):
     """Classification counts over all nonempty reduced words up to depth."""
+    maps = {x: system.generator(x)
+            for j in range(1, system.genus + 1) for x in (j, -j)}
     counts = {}
-    for _, m in _word_matrices(system, depth):
+    for _, m in reduced_words(system.genus, depth, maps.__getitem__,
+                              lambda m, y: m * maps[y]):
         kind = _map_kind(m)
         counts[kind] = counts.get(kind, 0) + 1
     return counts
-
-
-def _word_matrices(system, depth):
-    maps = {x: system.generator(x)
-            for j in range(1, system.genus + 1) for x in (j, -j)}
-    return reduced_words(system.genus, depth, maps.__getitem__,
-                         lambda m, y: m * maps[y])

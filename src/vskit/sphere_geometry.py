@@ -325,6 +325,12 @@ def disc_relation(d1, d2):
                      d2.circle.a_point())
 
 
+def _target(other):
+    """other's oriented form, its B conjugated, and a point of its circle."""
+    A2, B2, C2 = other.oriented()
+    return A2, B2.conjugate(), C2, other.circle.a_point()
+
+
 def image_relation(disc, other):
     """The function m -> disc_relation(disc_image(m, disc), other).
 
@@ -335,9 +341,7 @@ def image_relation(disc, other):
     (SphereDisc._from_oriented), so every answer is disc_relation's.
     """
     A, B, C = disc.oriented()
-    A2, B2, C2 = other.oriented()
-    B2c = B2.conjugate()
-    boundary = other.circle.a_point()
+    A2, B2c, C2, boundary = _target(other)
 
     def relation(m):
         A1, B1, C1 = _pushforward(m, A, B, C)
@@ -345,6 +349,25 @@ def image_relation(disc, other):
                          boundary)
 
     return relation
+
+
+def image_relations(disc, others):
+    """The function m -> the list of image_relation(disc, o)(m), o in others.
+
+    disc's form is pushed through m once for all of others, and each
+    answer is decided from those same raw coefficients, so it is the
+    answer image_relation gives, bit for bit.
+    """
+    A, B, C = disc.oriented()
+    targets = tuple(map(_target, others))
+
+    def relations(m):
+        A1, B1, C1 = _pushforward(m, A, B, C)
+        return [_relation(_inversive(A1, B1, C1, A2, B2c, C2), A1, B1, C1,
+                          boundary)
+                for A2, B2c, C2, boundary in targets]
+
+    return relations
 
 
 def disc_contains(outer, inner):
@@ -361,16 +384,3 @@ def circles_disjoint(c1, c2):
     d1 = SphereDisc(c1, 1)
     d2 = SphereDisc(c2, 1)
     return abs(inversive_product(d1, d2)) > 1.0 + TOL
-
-
-def circle_separates(circle, p, q):
-    """Whether the circle separates two sphere points.
-
-    A point whose form value is within TOL of zero counts as on the
-    circle, and points on the circle are never certified as separated.
-    """
-    vp = circle.eval(p)
-    vq = circle.eval(q)
-    if abs(vp) <= TOL or abs(vq) <= TOL:
-        return False
-    return (vp > 0) != (vq > 0)

@@ -262,7 +262,7 @@ def test_b3_two_t3s():
     assert g.label == "B3[4 cones]"
     assert str(orbifold_signature(g)) == "(0;2,2,2,2)"
     assert projectively_equal(g.gens["a.U"], g.gens["b.U"])
-    assert g.quotient_description() == [2, 2]
+    assert g.quotient.orders == (2, 2)
 
 
 def test_b3_t3_with_t5():

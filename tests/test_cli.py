@@ -1,11 +1,13 @@
 """Scene parsing and command-line behavior."""
 
+import contextlib
 from fractions import Fraction
 import hashlib
+import io
 
 import pytest
 
-from vskit import cli
+from vskit import cli, cyclic_case
 from vskit.cli import SceneError, construct, parse_scene, run, scene_text
 from vskit.combination import CombinationError
 
@@ -389,6 +391,35 @@ class TestCommands:
         assert len(lines) == 4
         assert ("g=2 a=0 b=0 c=0 d=2 m_orders=[] n_orders=[3,3] "
                 "K = Z_3 * Z_3") in lines
+
+    def test_enumerate_cyclic_writes_one_shell_per_call(self, monkeypatch):
+        # a counter, not a clock: one stdout write per non-empty genus
+        # shell, made before the next shell is built, so the first
+        # write follows shell 0 alone
+        sizes = []
+        shells = cyclic_case._shells
+
+        def counted(n, g_max):
+            for shell in shells(n, g_max):
+                sizes.append(len(shell))
+                yield shell
+
+        class CountingStdout(io.StringIO):
+            def write(self, text):
+                writes.append((len(sizes), text))
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(cyclic_case, "_shells", counted)
+        with contextlib.redirect_stdout(CountingStdout()):
+            assert run("enumerate-cyclic", ["12", "30"]) == 0
+        filled = [g + 1 for g, size in enumerate(sizes) if size]
+        assert len(sizes) == 31 and 0 < len(filled) < len(sizes)
+        assert [built for built, _ in writes] == filled
+        assert writes[0][0] == 1
+        for built, text in writes:
+            assert text.count("\n") == sizes[built - 1]
+            assert text.startswith(f"g={built - 1} ") and text.endswith("\n")
 
     def test_enumerate_cyclic_rejects_bad_domain(self, capsys):
         assert run("enumerate-cyclic", ["1", "5"]) == 2

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from vskit import combination
+from vskit import combination, sphere_geometry
 from vskit.moebius import MoebiusMap, INF, is_identity_map, projectively_equal
 from vskit.sphere_geometry import (SphereCircle, SphereDisc, disc_image,
                                    disc_relation)
@@ -632,7 +632,7 @@ def test_ping_pong_agrees_with_listing_on_suite_chains(monkeypatch, leaves):
 def test_ping_pong_agrees_with_listing_on_cyclic_builds(monkeypatch, sig):
     seen = _compare_junctions(monkeypatch)
     build_cyclic(sig)
-    assert len(seen) == sig.leaf_count - 2
+    assert len(seen) == sig.a + sig.b + sig.c + sig.d - 2
     for derived, full in seen:
         assert derived is not None and full.ok, full.line()
 
@@ -690,6 +690,29 @@ def test_failed_ping_pong_falls_back_to_the_whole_listing():
         "[FAIL] B1 precise invariance in left factor: "
         "witness a.E * b.A^-1")
     assert err.value.report.depth == listed.depth == 6
+
+
+def test_ping_pong_pushes_each_element_once(monkeypatch):
+    # a counter, not a clock: relations (a) and (b) are decided from one
+    # push of X through each non-identity element of L, not one each
+    chain = PlacementChain()
+    for k, (btype, params) in enumerate(SUITE_CHAINS[0][1]):
+        chain.append(make_basic(btype, prefix=f"x{k}.", **params))
+    # the separator the next append would place
+    X = station_boundary(chain.right_edge + chain.spacing)
+    listed_depth, listed = chain.node.right_listing
+    pushes = [0]
+    push = sphere_geometry._pushforward
+
+    def counted(*args):
+        pushes[0] += 1
+        return push(*args)
+
+    monkeypatch.setattr(sphere_geometry, "_pushforward", counted)
+    check = combination._ping_pong_invariance(chain.node, X, listed_depth)
+    assert check is not None and check.ok
+    elements = sum(1 for _, word, _ in listed.triples if word)
+    assert elements > 0 and pushes[0] == elements
 
 
 def test_certified_chain_lists_one_leaf_per_listing(monkeypatch):

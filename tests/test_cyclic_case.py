@@ -11,7 +11,8 @@ from vskit.combination import (CombinationError, GroupData, assemble,
                                node_certificates)
 from vskit.cyclic_case import (CyclicSignature, build_cyclic, describe,
                                enumerate_signatures, isomorphism_type,
-                               kernel_genus, stream_signatures)
+                               kernel_genus, stream_shells,
+                               stream_signatures)
 from vskit.group_algebra import (FreeProductModel, enumerate_elements,
                                  normal_form, symbolic_model)
 from vskit.limitset import sample
@@ -20,6 +21,25 @@ from vskit.moebius import classify, projectively_equal
 
 def _sort_key(sig):
     return (sig.g, sig.a, sig.b, sig.c, sig.d, sig.m_orders, sig.n_orders)
+
+
+# The formatters as they were before their text was cached per order
+# tuple: the reference the cached ones must match character for character.
+def _reference_isomorphism_type(sig):
+    parts = ["Z"] * sig.a
+    parts += [f"(Z + Z_{m})" for m in sig.m_orders]
+    parts += ["Z_2"] * sig.c
+    parts += [f"Z_{v}" for v in sig.n_orders]
+    return " * ".join(parts)
+
+
+def _reference_describe(sig):
+    m_orders, n_orders, g = sig.m_orders, sig.n_orders, sig._g
+    line = (f"g={g} a={sig.a} b={len(m_orders)} c={sig.c} d={len(n_orders)} "
+            f"m_orders=[{','.join(map(str, m_orders))}] "
+            f"n_orders=[{','.join(map(str, n_orders))}] "
+            f"K = {_reference_isomorphism_type(sig)}")
+    return line + " [elementary]" if g <= 1 else line
 
 
 class TestSignature:
@@ -52,7 +72,7 @@ class TestSignature:
         assert sig.m_orders == (2, 6)
         assert sig.n_orders == (3, 12)
         assert sig.b == 2 and sig.d == 2
-        assert sig.leaf_count == 5
+        assert sig.a + sig.b + sig.c + sig.d == 5
 
     def test_genus_values(self):
         assert CyclicSignature(2, a=1).g == 1
@@ -214,6 +234,34 @@ class TestIsomorphismType:
             "g=40 a=1 b=2 c=1 d=1 m_orders=[2,6] n_orders=[4] "
             "K = Z * (Z + Z_2) * (Z + Z_6) * Z_2 * Z_4")
 
+    def test_cached_text_equals_the_reference(self):
+        # every record with n = 2..12 and g <= 20, each of its shells
+        # formatted after a cleared cache and again from a warm one
+        records = 0
+        for n in range(2, 13):
+            for warm in (False, True):
+                if not warm:
+                    cyclic_case._order_text.cache_clear()
+                for g, shell in enumerate(stream_shells(n, 20)):
+                    for sig in shell:
+                        assert sig.g == g
+                        assert describe(sig) == _reference_describe(sig)
+                        assert isomorphism_type(sig) \
+                            == _reference_isomorphism_type(sig)
+                    records += len(shell)
+        assert records == 2 * sum(len(enumerate_signatures(n, 20))
+                                  for n in range(2, 13))
+
+    def test_text_cache_is_bounded(self):
+        info = cyclic_case._order_text.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize <= 4096
+        cyclic_case._order_text.cache_clear()
+        for n in (12, 9):
+            for sig in stream_signatures(n, 40):
+                describe(sig)
+        info = cyclic_case._order_text.cache_info()
+        assert info.currsize <= info.maxsize and info.hits > info.misses
+
 
 class TestBuild:
     def test_single_loxodromic_leaf(self):
@@ -247,7 +295,7 @@ class TestBuild:
     def test_mixed_certified_build(self):
         sig = CyclicSignature(4, a=1, c=2, n_orders=(4,))
         built = build_cyclic(sig)
-        assert len(built.groups) == sig.leaf_count == 4
+        assert len(built.groups) == sig.a + sig.b + sig.c + sig.d == 4
         report = built.rank_report()
         assert report.ok and report.kernel_rank == sig.g == 8
         assembled = assemble(built.tree)

@@ -12,8 +12,8 @@ from vskit.limitset import (LimitSetSample, disconnectedness_report,
                             export_lines, render, sample)
 from vskit.moebius import INF, TOL, MoebiusMap, classify, fixed_points
 from vskit.schottky import (DegeneratePairingError, PairingSystem,
-                            count_reduced_words, is_nontrivial_to_depth,
-                            ping_pong_disc, reduced_words, word_census)
+                            count_reduced_words, ping_pong_disc,
+                            reduced_words, word_census)
 from vskit.sphere_geometry import (SphereCircle, SphereDisc, disc_contains,
                                   discs_same)
 
@@ -67,10 +67,10 @@ class TestSampling:
         assert [word for word, _ in s.discs] == list(reduced_words(2, 4))
         assert all(discs_same(disc, ping_pong_disc(system, word))
                    for word, disc in s.discs)
-        total = count_reduced_words(2, 4)
-        assert sum(word_census(system, 4).values()) == total
-        ok, cert = is_nontrivial_to_depth(system, 4)
-        assert ok and cert["words_checked"] == total
+        # every reduced word is counted, and none is the identity
+        census = word_census(system, 4)
+        assert sum(census.values()) == count_reduced_words(2, 4)
+        assert "identity" not in census
 
     def test_certified_tree_yields_points_only(self):
         built = build_cyclic(CyclicSignature(3, n_orders=(3, 3)))

@@ -15,9 +15,9 @@ import random
 import pytest
 
 from vskit import moebius
-from vskit.moebius import (INF, TOL, MoebiusMap, attracting_fixed_point,
-                           chordal, classify, fixed_points, is_identity_map,
-                           projectively_equal, sphere_point)
+from vskit.moebius import (INF, TOL, MoebiusMap, chordal, classify,
+                           fixed_points, is_identity_map, projectively_equal,
+                           sphere_point)
 
 
 U = MoebiusMap(1j, 0, 0, -1j)          # z -> -z
@@ -200,11 +200,15 @@ class TestFixedPoints:
         assert fixed_points(SHIFT) == (INF,)
 
     def test_attracting(self):
-        assert attracting_fixed_point(SCALE2) is INF
-        assert attracting_fixed_point(SCALE2.inverse()) == 0
+        # iterates of a loxodromic map run to the fixed point it attracts
+        assert set(fixed_points(SCALE2)) == {0, INF}
+        assert abs((SCALE2 ** 60)(0.3 + 0.1j)) > 1e17
+        assert (SCALE2.inverse() ** 60)(0.3 + 0.1j) == pytest.approx(0)
         t = MoebiusMap(1, 2, 1, 3)
         m = SCALE2.conjugated_by(t)
-        assert attracting_fixed_point(m) == pytest.approx(t(INF))
+        attracting = t(INF)
+        assert any(p == pytest.approx(attracting) for p in fixed_points(m))
+        assert (m ** 60)(0.3 + 0.1j) == pytest.approx(attracting)
 
 
 class TestKindOnlyHelpers:

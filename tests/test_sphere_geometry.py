@@ -13,7 +13,7 @@ import pytest
 from vskit import sphere_geometry
 from vskit.combination import station_boundary
 from vskit.moebius import INF, TOL, MoebiusMap
-from vskit.sphere_geometry import (SphereCircle, SphereDisc, circle_separates,
+from vskit.sphere_geometry import (SphereCircle, SphereDisc,
                             circles_disjoint, circles_equal, disc_contains,
                             disc_relation, discs_same, image_relation,
                             inversive_product, map_circle, disc_image)
@@ -358,10 +358,13 @@ class TestPredicates:
         assert not circles_disjoint(c1, c3)
 
     def test_circle_separates(self):
+        # the line Re z = 1 splits 0 from 2, not 0 from -1; 1 lies on it
         line = SphereCircle.from_line(1, 1 + 1j)
-        assert circle_separates(line, 0, 2)
-        assert not circle_separates(line, 0, -1)
-        assert not circle_separates(line, 0, 1)   # on the circle: refuse
+        half = SphereDisc(line, 1)
+        assert half.contains(0) != half.contains(2)
+        assert half.contains(0) == half.contains(-1)
+        assert abs(line.eval(1)) <= TOL
+        assert not half.contains(1) and not half.complement().contains(1)
 
     def test_discs_same(self):
         d1 = SphereDisc.from_center_radius(0, 1, inside=True)
