@@ -62,11 +62,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import cyclic_case
 from .basic_groups import (BASIC_PARAMETERS, BASIC_TYPES, BasicGroupError,
                            OrbifoldSignature, make_basic, orbifold_signature)
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
                           free_product, hnn_extension)
-from .cyclic_case import describe, stream_shells
 from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
                             walk_tree)
 from .limitset import disconnectedness_report, render, sample
@@ -683,11 +683,14 @@ def _cmd_enumerate(ns):
     if ns.n < 2 or ns.g_max < 0:
         raise SceneError("need n >= 2 and g_max >= 0")
     # one write per shell, made before the next shell is built, so the
-    # first line still follows shell 0 at once
+    # first line still follows shell 0 at once; the lines come straight
+    # from the enumerator's field tuples, with no record built
     write = sys.stdout.write
-    for shell in stream_shells(ns.n, ns.g_max):
+    line = cyclic_case._line
+    for g, shell in enumerate(cyclic_case._shell_fields(ns.n, ns.g_max)):
         if shell:
-            write("".join(describe(sig) + "\n" for sig in shell))
+            write("\n".join([line(g, *fields) for fields in shell]) + "\n")
+        del shell  # not held while the next shell is built
     return 0
 
 

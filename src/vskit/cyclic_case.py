@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 
 from .basic_groups import make_basic
 from .combination import (Leaf, PlacementChain, station_frame,
@@ -168,17 +168,13 @@ def stream_signatures(n, g_max):
 
 
 def stream_shells(n, g_max):
-    """The admissible signatures over Z_n, one sorted list per genus shell.
+    """The admissible signatures over Z_n, one ordered list per genus shell.
 
     The arguments are checked at the call, before any shell.  Shells
-    then come lazily, g = 0, ..., g_max, each list sorted on its own in
-    (a, b, c, d, m_orders, n_orders) order; shell g + 1 is built only
-    when asked for, after shell g is handed out.  Complete: each unit of
-    a or b adds n to the genus, each involution adds n/2 and each
-    elliptic factor of order v adds n - n/v, so a shell joins every (a,
-    b, c) whose part of twice the genus fits with the elliptic-order
-    combinations making up the rest.  Those combinations are built only
-    up to the d that the current shell needs.  A shell may be empty.
+    then come lazily, g = 0, ..., g_max, each list in (a, b, c, d,
+    m_orders, n_orders) order as `_shell_fields` generates it (no shell
+    is sorted); shell g + 1 is built only when asked for, after shell g
+    is handed out.  A shell may be empty.
 
     Each record is built once, without re-running the constructor's
     validation: its order tuples are drawn sorted from the divisors of n
@@ -192,14 +188,40 @@ def stream_shells(n, g_max):
 
 
 def _shells(n, g_max):
+    make = CyclicSignature._trusted
+    for g, fields in enumerate(_shell_fields(n, g_max)):
+        shell = [make(n, a, c, m_orders, n_orders, g)
+                 for a, _, c, _, m_orders, n_orders in fields]
+        del fields
+        yield shell
+        # dropped, so a consumer that let go of it holds no shell while
+        # the next one is built
+        del shell
+
+
+def _shell_fields(n, g_max):
+    """Each genus shell's (a, b, c, d, m_orders, n_orders) tuples, in order.
+
+    One list per g = 0, ..., g_max, generated already sorted: a, then b,
+    then c ascend in the loops, and for one (a, b, c) the elliptic-order
+    tuples making up the rest of twice the genus are kept grouped by d,
+    each group in lexicographic order, so the records run d group by d
+    group, m_orders within d, n_orders within m_orders.  Complete: each
+    unit of a or b adds n to the genus, each involution adds n/2 and
+    each elliptic factor of order v adds n - n/v.  The elliptic-order
+    combinations are built only up to the d that the current shell
+    needs.  Only a = b = 0 can fail admissibility: with a + b > 0 the
+    one clause left is "c > 0 needs even n", and odd n has no c > 0.
+    """
     m_divs = [m for m in range(2, n + 1) if n % m == 0]
     e_divs = [v for v in range(3, n + 1) if n % v == 0]
-    # share of twice the genus -> the elliptic-order tuples adding it
-    e_combos = {0: [()]}
+    # share of twice the genus -> [(d, the d-tuples of elliptic orders
+    # adding it, in lexicographic order)], ascending in d
+    e_groups = {0: [(0, [()])]}
     built_d = 0
     m_combos = {}
-    make = CyclicSignature._trusted
     for g in range(g_max + 1):
+        shell = []  # the previous shell dropped before this one is built
         # a d-tuple's share is at least d * 2 (n - n/min order), and a
         # shell needs shares up to 2g + 2n - 2 (a = b = c = 0)
         need_d = (g + n - 1) // (n - n // e_divs[0]) if e_divs else 0
@@ -207,26 +229,32 @@ def _shells(n, g_max):
             built_d += 1
             for orders in combinations_with_replacement(e_divs, built_d):
                 share = 2 * n * built_d - 2 * sum(n // v for v in orders)
-                e_combos.setdefault(share, []).append(orders)
+                groups = e_groups.setdefault(share, [])
+                if not groups or groups[-1][0] != built_d:
+                    groups.append((built_d, []))
+                groups[-1][1].append(orders)
         amax = (g - 1) // n + 1
-        shell = []
+        # per a + b: the (c, d, elliptic-order tuples) completing twice
+        # the genus, ascending in c then d
+        rests = []
+        for s in range(amax + 1):
+            base = 2 * n * (s - 1) + 2  # twice the c=d=0 genus
+            cmax = (2 * g - base) // n if n % 2 == 0 else 0
+            rests.append([(c, d, group) for c in range(cmax + 1)
+                          for d, group in e_groups.get(2 * g - base - n * c,
+                                                       ())])
+        # a = b = 0, the one case the admissibility clauses can reject
+        shell += [(0, 0, c, d, (), orders) for c, d, group in rests[0]
+                  for orders in group
+                  if not _admissibility_problems(n, 0, 0, c, orders)]
         for a in range(amax + 1):
-            for b in range(amax - a + 1):
+            for b in range(1 if a == 0 else 0, amax - a + 1):
                 if b not in m_combos:
                     m_combos[b] = list(
                         combinations_with_replacement(m_divs, b))
-                base = 2 * n * (a + b - 1) + 2  # twice the c=d=0 genus
-                cmax = (2 * g - base) // n if n % 2 == 0 else 0
-                for c in range(cmax + 1):
-                    for orders in e_combos.get(2 * g - base - n * c, ()):
-                        if _admissibility_problems(n, a, b, c, orders):
-                            continue
-                        shell.extend((a, b, c, len(orders), m_orders, orders)
-                                     for m_orders in m_combos[b])
-        shell.sort()
-        # rebound, so the sort keys are freed before the shell is handed out
-        shell = [make(n, a, c, m_orders, orders, g)
-                 for a, _, c, _, m_orders, orders in shell]
+                m_list = m_combos[b]
+                for c, d, group in rests[a + b]:
+                    shell += product((a,), (b,), (c,), (d,), m_list, group)
         yield shell
 
 
@@ -235,58 +263,62 @@ def enumerate_signatures(n, g_max):
 
     The list of `stream_signatures(n, g_max)`: complete, deterministic,
     in (g, a, b, c, d, m_orders, n_orders) order.  Built one genus shell
-    at a time and sorted per shell; use the stream itself to hold only
-    one shell in memory.
+    at a time, each generated in order; use the stream itself to hold
+    only one shell in memory.
     """
     return list(stream_signatures(n, g_max))
 
 
 @lru_cache(maxsize=4096)
 def _order_text(orders, kind):
-    """The comma list of one order tuple and its factors of K, joined.
+    """The comma list of one order tuple and its factors of K.
 
     kind is "m" for the orders of the rank-one abelian factors Z + Z_m,
-    "n" for the elliptic ones; an empty tuple gives two empty strings.
-    An enumeration repeats few order tuples across many records (at
-    most 1548 for `enumerate-cyclic 12 80`, against 111k records), so
-    the text is built once per tuple; the bound keeps a long-running
-    process from holding every tuple ever formatted.
+    "n" for the elliptic ones.  Each factor comes followed by " * ", so
+    `_k_text` joins the pieces by concatenation; an empty tuple gives
+    two empty strings.  An enumeration repeats few order tuples across
+    many records (at most 1548 for `enumerate-cyclic 12 80`, against
+    111k records), so the text is built once per tuple; the bound keeps
+    a long-running process from holding every tuple ever formatted.
     """
-    form = "(Z + Z_{})" if kind == "m" else "Z_{}"
-    return ",".join(map(str, orders)), " * ".join(map(form.format, orders))
+    form = "(Z + Z_{}) * " if kind == "m" else "Z_{} * "
+    return ",".join(map(str, orders)), "".join(map(form.format, orders))
 
 
-def _k_text(sig, m_factors, n_factors):
-    """K as "Z" a times, the m factors, "Z_2" c times, the n factors."""
-    parts = ["Z"] * sig.a
-    if m_factors:
-        parts.append(m_factors)
-    parts += ["Z_2"] * sig.c
-    if n_factors:
-        parts.append(n_factors)
-    return " * ".join(parts)
+def _k_text(a, m_factors, c, n_factors):
+    """K as "Z" a times, the m factors, "Z_2" c times, the n factors.
+
+    The factor texts are `_order_text`'s, each factor ending in " * ";
+    an admissible signature has at least one factor, so the last
+    separator is there to cut.
+    """
+    return f"{'Z * ' * a}{m_factors}{'Z_2 * ' * c}{n_factors}"[:-3]
 
 
 def isomorphism_type(sig):
     """Canonical free-product expression for the group, as a string."""
-    return _k_text(sig, _order_text(sig.m_orders, "m")[1],
+    return _k_text(sig.a, _order_text(sig.m_orders, "m")[1], sig.c,
                    _order_text(sig.n_orders, "n")[1])
 
 
-def describe(sig):
-    """One-line record for enumeration listings.
+def _line(g, a, b, c, d, m_orders, n_orders):
+    """The enumeration record of one signature's fields, without newline.
 
     The order lists and the factors they contribute to K come from a
     bounded cache keyed on the order tuple, so a listing formats each
     distinct tuple once.
     """
-    m_orders, n_orders, g = sig.m_orders, sig.n_orders, sig._g
     m_list, m_factors = _order_text(m_orders, "m")
     n_list, n_factors = _order_text(n_orders, "n")
-    line = (f"g={g} a={sig.a} b={len(m_orders)} c={sig.c} d={len(n_orders)} "
-            f"m_orders=[{m_list}] n_orders=[{n_list}] "
-            f"K = {_k_text(sig, m_factors, n_factors)}")
+    line = (f"g={g} a={a} b={b} c={c} d={d} m_orders=[{m_list}] "
+            f"n_orders=[{n_list}] K = {_k_text(a, m_factors, c, n_factors)}")
     return line + " [elementary]" if g <= 1 else line
+
+
+def describe(sig):
+    """One-line record for enumeration listings."""
+    return _line(sig._g, sig.a, len(sig.m_orders), sig.c, len(sig.n_orders),
+                 sig.m_orders, sig.n_orders)
 
 
 @dataclass(frozen=True)

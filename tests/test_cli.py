@@ -397,7 +397,7 @@ class TestCommands:
         # shell, made before the next shell is built, so the first
         # write follows shell 0 alone
         sizes = []
-        shells = cyclic_case._shells
+        shells = cyclic_case._shell_fields
 
         def counted(n, g_max):
             for shell in shells(n, g_max):
@@ -410,7 +410,7 @@ class TestCommands:
                 return super().write(text)
 
         writes = []
-        monkeypatch.setattr(cyclic_case, "_shells", counted)
+        monkeypatch.setattr(cyclic_case, "_shell_fields", counted)
         with contextlib.redirect_stdout(CountingStdout()):
             assert run("enumerate-cyclic", ["12", "30"]) == 0
         filled = [g + 1 for g, size in enumerate(sizes) if size]
@@ -420,6 +420,16 @@ class TestCommands:
         for built, text in writes:
             assert text.count("\n") == sizes[built - 1]
             assert text.startswith(f"g={built - 1} ") and text.endswith("\n")
+
+    def test_enumerate_cyclic_equals_the_described_records(self, capsys):
+        # the CLI formats field tuples without building records; its
+        # text must be the records' `describe` lines, in stream order
+        for n in range(2, 14):
+            for g_max in (0, 1, 30):
+                assert run("enumerate-cyclic", [str(n), str(g_max)]) == 0
+                assert capsys.readouterr().out == "".join(
+                    cyclic_case.describe(sig) + "\n"
+                    for sig in cyclic_case.stream_signatures(n, g_max))
 
     def test_enumerate_cyclic_rejects_bad_domain(self, capsys):
         assert run("enumerate-cyclic", ["1", "5"]) == 2

@@ -163,6 +163,38 @@ class TestEnumeration:
                 total += 1
         assert total == 73407
 
+    def test_shell_fields_come_in_order(self):
+        # the enumerator sorts nothing: each shell's field tuples must
+        # already be in (a, b, c, d, m_orders, n_orders) order
+        for n in range(2, 14):
+            shells = list(cyclic_case._shell_fields(n, 60))
+            assert len(shells) == 61
+            for g, shell in enumerate(shells):
+                assert shell == sorted(shell)
+                assert len(set(shell)) == len(shell)
+                for a, b, c, d, m_orders, n_orders in shell:
+                    assert (b, d) == (len(m_orders), len(n_orders))
+                    assert kernel_genus(n, a, b, c, n_orders) == g
+
+    def test_only_a_equal_b_equal_zero_can_be_inadmissible(self):
+        # the enumerator checks admissibility only when a = b = 0: with
+        # a + b > 0 every candidate it offers passes (c > 0 only for
+        # even n), and odd n with c > 0 is the one clause that could fail
+        for n in range(2, 14):
+            e_divs = [v for v in range(3, n + 1) if n % v == 0]
+            for a in range(3):
+                for b in range(3 - a):
+                    for c in range(4 if n % 2 == 0 else 1):
+                        for d in range(4):
+                            for n_orders in combinations_with_replacement(
+                                    e_divs, d):
+                                problems = cyclic_case._admissibility_problems(
+                                    n, a, b, c, n_orders)
+                                assert (problems == []) \
+                                    or (a + b == 0), (n, a, b, c, n_orders)
+            if n % 2:
+                assert cyclic_case._admissibility_problems(n, 1, 0, 1, ())
+
     def test_full_listing_small_n(self):
         assert [describe(s) for s in enumerate_signatures(2, 1)] == [
             "g=0 a=0 b=0 c=1 d=0 m_orders=[] n_orders=[] K = Z_2"

@@ -20,19 +20,32 @@ neither side), the ratio of the medians and the metric's bound; and per
 workload each side's attempted and failed items.  A run that exits
 non-zero, or whose result is not correct, is recorded and the script
 exits 1 after writing the file.
+
+The acceptance sweeps are timed the same way, in --pairs rounds once
+the workloads are done: round i runs `pytest tests/test_acceptance.py`
+once in each checkout, in the order pair i would, and reads each test's call time
+(setup and teardown excluded) from pytest's JUnit XML report.  Under
+"acceptance" the file holds, per sweep ac1, ..., ac8, the same rows as a
+metric (lower is better, no bound) and each side's failed sweeps.  A
+failed sweep, such as a wall-clock gate missed on a slow host, is
+recorded and the script exits 1 after writing the file.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+from xml.etree import ElementTree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "head")
+ACCEPTANCE = "tests/test_acceptance.py"
 
 
 def commit_of(checkout):
@@ -83,6 +96,61 @@ def run_once(checkout, workload, seed, seconds):
     return result
 
 
+def acceptance_result(root):
+    """A result, shaped like a perfbench run's, from a JUnit XML report.
+
+    Each test named test_acN_... gives metric "acN", its time in seconds;
+    a test with a failure or error element counts as failed.
+    """
+    metrics, failed = {}, []
+    for case in root.iter("testcase"):
+        match = re.match(r"test_(ac\d+)_", case.get("name", ""))
+        if match is None:
+            continue
+        name = match.group(1)
+        metrics[name] = {"value": float(case.get("time")), "unit": "s"}
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.append(name)
+    result = {"correct": not failed, "attempted": len(metrics),
+              "failed": len(failed), "metrics": metrics}
+    if failed:
+        result["error"] = "failed " + ", ".join(failed)
+    return result
+
+
+def time_acceptance(checkout):
+    """One pytest run of the acceptance sweeps in checkout, as a result."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "-o", "junit_duration_report=call"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(checkout, "src"))
+    with tempfile.TemporaryDirectory() as folder:
+        xml = os.path.join(folder, "acceptance.xml")
+        done = subprocess.run([*cmd, f"--junitxml={xml}", ACCEPTANCE],
+                              cwd=checkout, env=env, capture_output=True,
+                              text=True, check=False, timeout=1800)
+        try:
+            root = ElementTree.parse(xml).getroot()
+        except (OSError, ElementTree.ParseError) as err:
+            return {"correct": False,
+                    "error": f"exit {done.returncode}: {err}"}
+    return acceptance_result(root)
+
+
+def alternate(pairs, run_side, show):
+    """pairs results {side: run_side(side, i)}, even i parent first.
+
+    show(i, pair) returns the progress line printed after each pair.
+    """
+    results = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {side: run_side(side, i) for side in order}
+        results.append(pair)
+        print(show(i, pair), flush=True)
+    return results
+
+
 def quartiles(values):
     """(first quartile, median, third quartile) of one side's runs."""
     if len(values) == 1:
@@ -109,7 +177,7 @@ def summarize(results, end_to_end):
         if not pairs:
             continue
         row = {"unit": spec["unit"], "better": better,
-               "bound": spec["bound"], "pairs": len(pairs)}
+               "bound": spec.get("bound"), "pairs": len(pairs)}
         for k, side in enumerate(SIDES):
             runs = [pair[k] for pair in pairs]
             q1, median, q3 = quartiles(runs)
@@ -181,24 +249,46 @@ def main(argv=None):
               "workloads": {}}
     status = 0
     for workload in args.workload:
-        results = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {side: run_once(checkouts[side], workload, seed,
-                                   args.seconds) for side in order}
-            results.append(pair)
+        def run_side(side, i):
+            return run_once(checkouts[side], workload, args.seed + i,
+                            args.seconds)
+
+        def show(i, pair):
             rates = [pair[side].get("metrics", {}).get("items_per_s", {})
                      .get("value") for side in SIDES]
-            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
-                  f"items_per_s parent {rates[0]} head {rates[1]}",
-                  flush=True)
+            return (f"{workload} pair {i + 1}/{args.pairs} seed "
+                    f"{args.seed + i}: items_per_s parent {rates[0]} "
+                    f"head {rates[1]}")
+
+        results = alternate(args.pairs, run_side, show)
         tally = counts(results)
         if any(tally[side]["incorrect_runs"] for side in SIDES):
             status = 1
         report["workloads"][workload] = {
             "metrics": summarize(results, bench["end_to_end"]),
             "runs": tally}
+
+    def show_acceptance(i, pair):
+        seconds = [sum(m["value"] for m in pair[side].get("metrics",
+                                                          {}).values())
+                   for side in SIDES]
+        return (f"acceptance round {i + 1}/{args.pairs}: seconds parent "
+                f"{seconds[0]:.2f} head {seconds[1]:.2f}")
+
+    results = alternate(args.pairs,
+                        lambda side, i: time_acceptance(checkouts[side]),
+                        show_acceptance)
+    sweeps = sorted({name for pair in results for side in SIDES
+                     for name in pair[side].get("metrics", {})},
+                    key=lambda name: int(name[2:]))
+    tally = counts(results)
+    if any(tally[side]["incorrect_runs"] for side in SIDES):
+        status = 1
+    report["acceptance"] = {
+        "metrics": summarize(results, [{"name": name, "unit": "s",
+                                        "better": "lower"}
+                                       for name in sweeps]),
+        "runs": tally}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
