@@ -23,12 +23,12 @@ exits 1 after writing the file.
 
 The acceptance sweeps are timed the same way, in --pairs rounds once
 the workloads are done: round i runs `pytest tests/test_acceptance.py`
-once in each checkout, in the order pair i would, and reads each test's call time
-(setup and teardown excluded) from pytest's JUnit XML report.  Under
-"acceptance" the file holds, per sweep ac1, ..., ac8, the same rows as a
-metric (lower is better, no bound) and each side's failed sweeps.  A
-failed sweep, such as a wall-clock gate missed on a slow host, is
-recorded and the script exits 1 after writing the file.
+once in each checkout, in the order pair i would, and reads each test's
+call time (setup and teardown excluded) from pytest's JUnit XML report.
+Under "acceptance" the file holds, per sweep ac1, ..., ac8, the same
+rows as a metric (lower is better, no bound) and each side's failed
+sweeps.  A failed sweep, such as a wall-clock gate missed on a slow
+host, is recorded and the script exits 1 after writing the file.
 """
 
 import argparse
