@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+import hashlib
 import random
 
 import pytest
@@ -220,11 +221,15 @@ def test_free_product_reports_invariance_failure_with_witness():
 # HNN extensions
 
 
-def test_hnn_extension_of_rotation_group():
+def _rotation_hnn():
     base = Leaf(make_basic("T1", n=3, prefix="e."))
     A = MoebiusMap(2, 0, 0, 0.5)            # z -> 4z commutes with e.E
-    node = hnn_extension(base, A, _disc(0, 0.5), _disc(0, 2.0, inside=False),
+    return hnn_extension(base, A, _disc(0, 0.5), _disc(0, 2.0, inside=False),
                          H1="e.E", H2="e.E", stable_name="e.A")
+
+
+def test_hnn_extension_of_rotation_group():
+    node = _rotation_hnn()
     assert node.edge_order == 3
     assert node.edge_is_full_base
     assert node.certificate.ok
@@ -238,13 +243,7 @@ def test_hnn_extension_of_rotation_group():
 
 
 def test_hnn_extension_lists_its_base_once(monkeypatch):
-    def build():
-        base = Leaf(make_basic("T1", n=3, prefix="e."))
-        return hnn_extension(base, MoebiusMap(2, 0, 0, 0.5), _disc(0, 0.5),
-                             _disc(0, 2.0, inside=False), H1="e.E",
-                             H2="e.E", stable_name="e.A")
-
-    lines = [c.line() for c in build().certificate.checks]
+    lines = [c.line() for c in _rotation_hnn().certificate.checks]
     calls = []
     real_elements = GroupData.elements
 
@@ -254,7 +253,7 @@ def test_hnn_extension_lists_its_base_once(monkeypatch):
 
     monkeypatch.setattr(GroupData, "elements", elements)
     # the B1 and B2 invariance checks and the drag sweep share one listing
-    assert [c.line() for c in build().certificate.checks] == lines
+    assert [c.line() for c in _rotation_hnn().certificate.checks] == lines
     assert calls == [6]
     assert lines == [
         "[exact-pass] stable letter is loxodromic",
@@ -874,3 +873,66 @@ def test_listing_intern_holds_its_bound(monkeypatch):
     assert models == [t2.symbolic, t4.symbolic, t6.symbolic, t4.symbolic,
                       t7.symbolic, t7.symbolic]
     assert intern.held == 13 + 35
+
+
+# ---------------------------------------------------------------------------
+# listings that bypass the leaf intern or are cut by a budget, pinned
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _listing_digests(listed):
+    """(count, exhausted, depth_completed, words, elements, matrix bits)
+    of an EnumeratedElements, each sequence as a SHA-256 digest."""
+    return (len(listed.triples), listed.exhausted, listed.depth_completed,
+            _sha(format_word(word) for _, word, _ in listed.triples),
+            _sha(repr(elem) for elem, _, _ in listed.triples),
+            _sha(bits for _, _, bits in _bits(listed.triples)))
+
+
+def _pinned_listings():
+    chain = build_cyclic(CyclicSignature(12, a=1, m_orders=(2, 2), c=1))
+    assert chain.tree.certificate.ok
+    t6 = make_basic("T6", lam1=30.0, lam2=4.0)
+    return {
+        "chain": GroupData.from_node(chain.tree).elements(
+            6, max_count=combination.ENUMERATION_BUDGET),
+        "hnn": GroupData.from_node(_rotation_hnn()).elements(5),
+        "t6-cut": GroupData.coerce(t6).elements(6, max_count=500),
+    }
+
+
+PINNED_LISTINGS = {
+    "chain": (4446, False, 4,
+              ("8a20110524e8b7ed7dc69f71ad694808"
+               "38e14c75a52a32a1e5200df0ea70e505"),
+              ("9eedcc44f608095dae6bb59d7e98bc32"
+               "3f7b101efdd982e7742c02f71f80727e"),
+              ("daa22dfce36cd03ebdc2044945f9f585"
+               "334f056a3a2bf05a8ab2fe1f5d2dd619")),
+    "hnn": (29, False, 5,
+            ("819758434dabd52971e5556f1ecef831"
+             "21cb6272503eef4e526af1bae3a674f9"),
+            ("bbfca6e03882120892efd6201fb1fcab"
+             "c40a1d5eb037822bc9c9a0cdacb13a42"),
+            ("233f4c1e4181ca15880fb91cae197e8f"
+             "4be547ff7f7f905b715cbfd3083de6b2")),
+    "t6-cut": (92, False, 3,
+               ("cfa7bea181b00a24cffe990fe9e54ba7"
+                "d8c468105c1e51da91651945f3dafc04"),
+               ("78ca6e38d786e5ff487644cdeebc865d"
+                "deadc4a868995d0767ff459f45fbc163"),
+               ("b41513821b67d966d8bc2ef48949f2a6"
+                "d24b747de07377b7f231fee48d6180fb")),
+}
+
+
+def test_listings_are_pinned(monkeypatch):
+    # a chain and an HNN node list through their whole model, the T6
+    # leaf through the intern with a budget that stops it after depth 3
+    _fresh_intern(monkeypatch)
+    listings = _pinned_listings()
+    assert {key: _listing_digests(listed)
+            for key, listed in listings.items()} == PINNED_LISTINGS
