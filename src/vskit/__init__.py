@@ -32,9 +32,8 @@ from .schottky import (Check, CheckReport, DegeneratePairingError,
                        PairingSystem, count_reduced_words, letter_discs,
                        ping_pong_disc, reduced_words, verify_pairing,
                        word_census)
-from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
-                              SphereDisc, disc_contains, disc_image,
-                              disc_relation, image_relation,
+from .sphere_geometry import (SphereCircle, SphereDisc, disc_contains,
+                              disc_image, disc_relation, image_relation,
                               inversive_product, map_circle)
 
 __version__ = "0.1.0"
@@ -42,8 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AssembledGroup", "BasicGroup", "BasicGroupError", "Check",
     "CheckReport", "CombinationError", "CyclicConstruction",
-    "CyclicSignature", "DegeneratePairingError", "DegenerateWitnessError",
-    "DisconnectednessReport", "FiniteAbelianGroup", "Gluing", "GroupData",
+    "CyclicSignature", "DegeneratePairingError", "DisconnectednessReport",
+    "FiniteAbelianGroup", "Gluing", "GroupData",
     "INF", "Leaf", "LeafSymbolic", "LimitSetSample",
     "MoebiusMap", "OrbifoldSignature", "PairingConstructionError",
     "PairingSystem", "PlacementChain", "QuotientMap", "RankReport",

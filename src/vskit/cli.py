@@ -73,8 +73,7 @@ from .limitset import disconnectedness_report, render, sample
 from .moebius import MoebiusMap
 from .schottky import (DegeneratePairingError, PairingSystem, pairing_lines,
                        verify_pairing)
-from .sphere_geometry import (DegenerateWitnessError, SphereCircle,
-                              SphereDisc)
+from .sphere_geometry import SphereCircle, SphereDisc
 
 __all__ = ["SceneError", "Scene", "parse_scene", "scene_text", "run", "main"]
 
@@ -749,7 +748,7 @@ def run(command, args=()):
         print(f"scene error: {err}")
         return 2
     except (CombinationError, BasicGroupError, DegeneratePairingError,
-            DegenerateWitnessError, ValueError) as err:
+            ValueError) as err:
         print(f"FAIL: {err}")
         return 1
     except (RecursionError, MemoryError) as err:

@@ -202,10 +202,11 @@ class GroupData:
     def elements(self, depth, max_count=None):
         """EnumeratedElements over the group to the given depth.
 
-        The symbolic listing (enumerate_elements) comes by generator
-        position; a leaf's is shared by every leaf of its presentation
-        (see _LEAF_LISTINGS).  Words and matrices are this group's own:
-        each element's matrix is its BFS parent's times one generator or
+        The symbolic listing (enumerate_elements: normal forms with BFS
+        parents and steps) is by generator position; a leaf's is shared
+        by every leaf of its presentation (see _LEAF_LISTINGS).  Words
+        and matrices are this group's own, built here: each element's
+        word and matrix are its BFS parent's times one generator or
         inverse, so every triple is what a fresh listing of this group
         gives, bit for bit.
         """
@@ -224,40 +225,6 @@ class GroupData:
         return EnumeratedElements(
             list(zip(listing.elements, words, matrices)),
             listing.exhausted, listing.depth_completed)
-
-
-@dataclass(frozen=True)
-class _Listing:
-    """An EnumerationResult by generator position.
-
-    elements are in BFS order, the identity first.  Element i + 1 is
-    element parents[i] times step steps[i], where step 2j is generator j
-    of the model's generators() and 2j + 1 its inverse.
-    """
-
-    elements: tuple
-    parents: tuple
-    steps: tuple
-    exhausted: bool
-    depth_completed: int
-
-    @classmethod
-    def of(cls, model, names, depth, max_count):
-        result = enumerate_elements(model, depth, max_count=max_count)
-        step_of = {}
-        for j, name in enumerate(names):
-            step_of[(name, 1)] = 2 * j
-            step_of[(name, -1)] = 2 * j + 1
-        index = {}
-        parents = []
-        steps = []
-        for i, word in enumerate(result.elements.values()):
-            index[word] = i
-            if word:
-                parents.append(index[word[:-1]])
-                steps.append(step_of[word[-1]])
-        return cls(tuple(result.elements), tuple(parents), tuple(steps),
-                   result.exhausted, result.depth_completed)
 
 
 class _ListingIntern:
@@ -296,18 +263,17 @@ _LEAF_LISTINGS = _ListingIntern(2 * ENUMERATION_BUDGET)
 
 
 def _symbolic_listing(model, depth, max_count):
-    """(generator names, _Listing) of the model to the depth; leaf
-    presentations come from _LEAF_LISTINGS."""
+    """(generator names, EnumerationResult) of the model to the depth;
+    leaf presentations come from _LEAF_LISTINGS."""
     if not isinstance(model, LeafSymbolic):
-        names = tuple(model.generators())
-        return names, _Listing.of(model, names, depth, max_count)
-    names = model.free_names + model.torsion_names
+        return tuple(model.generators()), \
+            enumerate_elements(model, depth, max_count=max_count)
     key = (model.rank, model.torsion.orders, model.action, depth, max_count)
     listing = _LEAF_LISTINGS.get(key)
     if listing is None:
-        listing = _Listing.of(model, names, depth, max_count)
+        listing = enumerate_elements(model, depth, max_count=max_count)
         _LEAF_LISTINGS.put(key, listing)
-    return names, listing
+    return model.free_names + model.torsion_names, listing
 
 
 def _cyclic_closure(model, g, cap=64):

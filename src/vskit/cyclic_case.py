@@ -16,7 +16,7 @@ groups along the real axis, with the exponent map attached.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
@@ -65,7 +65,7 @@ def _admissibility_problems(n, a, b, c, n_orders):
     return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicSignature:
     """Admissible factor counts for a virtual Schottky group over Z_n.
 
@@ -91,6 +91,7 @@ class CyclicSignature:
     c: int = 0
     m_orders: tuple = ()
     n_orders: tuple = ()
+    _g: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) \
@@ -128,8 +129,13 @@ class CyclicSignature:
         `stream_signatures` for why its fields need no check).
         """
         obj = cls.__new__(cls)
-        obj.__dict__.update(n=n, a=a, c=c, m_orders=m_orders,
-                            n_orders=n_orders, _g=g)
+        set_slot = object.__setattr__
+        set_slot(obj, "n", n)
+        set_slot(obj, "a", a)
+        set_slot(obj, "c", c)
+        set_slot(obj, "m_orders", m_orders)
+        set_slot(obj, "n_orders", n_orders)
+        set_slot(obj, "_g", g)
         return obj
 
     @property

@@ -119,9 +119,6 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup({self.orders})"
 
 
-TRIVIAL_GROUP = FiniteAbelianGroup(())
-
-
 # ---------------------------------------------------------------------------
 # leaf groups: F_r x| T with T acting by inversions
 
@@ -514,11 +511,19 @@ def normal_form(tree, word):
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationResult:
-    """BFS listing of group elements by shortest word."""
+    """BFS listing of group elements by shortest word, by position.
 
-    elements: dict
+    elements are canonical elements in BFS order, the identity first.
+    Element i + 1 is element parents[i] times step steps[i], where step
+    2j is generator j of the model's generators() and 2j + 1 its inverse,
+    so following parents back to the identity spells a shortest word.
+    """
+
+    elements: tuple
+    parents: tuple
+    steps: tuple
     exhausted: bool
     depth_completed: int
 
@@ -526,38 +531,45 @@ class EnumerationResult:
 def enumerate_elements(model, depth, max_count=None):
     """BFS over products of generators, deduplicated by normal form.
 
-    elements maps each canonical element to a shortest word (tuple of
-    (name, exp) letters); exhausted means the BFS closed before the depth
-    bound, i.e. the generated group is finite and fully listed.  With
-    max_count set, the walk stops after the last fully completed level
-    that fits the budget; depth_completed records how far it got.
+    Each level multiplies the previous level's elements, in order, by
+    each generator and then its inverse, in generators() order, and keeps
+    the products not seen before.  exhausted means the BFS closed before
+    the depth bound, i.e. the generated group is finite and fully listed.
+    With max_count set, the walk stops after the last fully completed
+    level that fits the budget; depth_completed records how far it got.
     """
+    moves = []
+    for g in model.generators().values():
+        moves += (g, model.inverse(g))
+    elements = [model.identity()]
+    seen = set(elements)
+    parents = []
     steps = []
-    for name, g in model.generators().items():
-        steps.append(((name, 1), g))
-        steps.append(((name, -1), model.inverse(g)))
-    elements = {model.identity(): ()}
-    frontier = [(model.identity(), ())]
+    begin = 0                   # the last level is elements[begin:]
     exhausted = False
     depth_completed = 0
     for level in range(1, depth + 1):
+        end = len(elements)
         if max_count is not None and \
-                len(elements) + len(frontier) * len(steps) > max_count:
+                end + (end - begin) * len(moves) > max_count:
             break
-        nxt = []
-        for x, word in frontier:
-            for letter, g in steps:
+        for parent in range(begin, end):
+            x = elements[parent]
+            for step, g in enumerate(moves):
                 y = model.multiply(x, g)
-                if y not in elements:
-                    elements[y] = longer = word + (letter,)
-                    nxt.append((y, longer))
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    parents.append(parent)
+                    steps.append(step)
         depth_completed = level
-        if not nxt:
+        if len(elements) == end:
             exhausted = True
             depth_completed = depth
             break
-        frontier = nxt
-    return EnumerationResult(elements, exhausted, depth_completed)
+        begin = end
+    return EnumerationResult(tuple(elements), tuple(parents), tuple(steps),
+                             exhausted, depth_completed)
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,6 @@ class LimitSetSample:
     points: tuple
     max_diameter_by_depth: tuple
 
-    @property
-    def circles(self):
-        return [(word, disc.circle) for word, disc in self.discs]
-
-    @property
-    def is_empty(self):
-        return not self.discs and not self.points
-
 
 @dataclass(frozen=True)
 class DisconnectednessReport:

@@ -19,10 +19,6 @@ from .moebius import INF, TOL, MoebiusMap, sphere_point, chordal  # noqa: F401
 _LINE_BAND = 1e-12   # |A| below this counts as a line
 
 
-class DegenerateWitnessError(ValueError):
-    """All interior witness candidates landed on the image boundary."""
-
-
 class SphereCircle:
     """A circle on the sphere, stored as a normalized Hermitian form."""
 
@@ -219,28 +215,6 @@ class SphereDisc:
 
     def complement(self):
         return SphereDisc(self.circle, -self.side)
-
-    def interior_candidates(self):
-        """A few interior points, most central first."""
-        circle = self.circle
-        if circle.is_line():
-            base = -circle.C * circle.B / (2.0 * abs(circle.B) ** 2)
-            return (sphere_point(base - self.side * circle.B),
-                    sphere_point(base - 3.0 * self.side * circle.B))
-        center, radius = circle.center_radius()
-        if self.side * circle.A > 0:
-            return (sphere_point(center),
-                    sphere_point(center + 0.5 * radius),
-                    sphere_point(center + 0.5j * radius))
-        far = abs(center) + 3.0 * radius + 1.0
-        return (INF, sphere_point(center + 2.0 * radius),
-                sphere_point(far))
-
-    def interior_point(self):
-        for p in self.interior_candidates():
-            if self.contains(p):
-                return p
-        raise DegenerateWitnessError("no interior witness found")
 
     def __repr__(self):
         word = "inside" if self.side * self.circle.A > 0 else "outside-or-half"

@@ -741,17 +741,19 @@ def test_certified_chain_lists_one_leaf_per_listing(monkeypatch):
 
 def _direct_listing(group, depth, max_count):
     """A fresh listing of one group: enumerate_elements on its own model,
-    then one product per element from its BFS parent's matrix."""
+    then one letter and one product per element from its BFS parent's
+    word and matrix."""
     result = enumerate_elements(group.symbolic, depth, max_count=max_count)
-    inverses = {name: m.inverse() for name, m in group.gens.items()}
-    by_word = {(): MoebiusMap.identity()}
-    triples = []
-    for elem, word in result.elements.items():
-        if word:
-            name, exp = word[-1]
-            step = group.gens[name] if exp > 0 else inverses[name]
-            by_word[word] = by_word[word[:-1]] * step
-        triples.append((elem, word, by_word[word]))
+    moves = []
+    for name in group.symbolic.generators():
+        m = group.gens[name]
+        moves += (((name, 1), m), ((name, -1), m.inverse()))
+    triples = [(result.elements[0], (), MoebiusMap.identity())]
+    for elem, parent, step in zip(result.elements[1:], result.parents,
+                                  result.steps):
+        _, word, m = triples[parent]
+        letter, move = moves[step]
+        triples.append((elem, word + (letter,), m * move))
     return triples, result.exhausted, result.depth_completed
 
 
@@ -892,15 +894,16 @@ def _listing_digests(listed):
             _sha(bits for _, _, bits in _bits(listed.triples)))
 
 
-def _pinned_listings():
+def _pinned_cases():
+    """Key -> (GroupData, depth, max_count) of each pinned listing."""
     chain = build_cyclic(CyclicSignature(12, a=1, m_orders=(2, 2), c=1))
     assert chain.tree.certificate.ok
     t6 = make_basic("T6", lam1=30.0, lam2=4.0)
     return {
-        "chain": GroupData.from_node(chain.tree).elements(
-            6, max_count=combination.ENUMERATION_BUDGET),
-        "hnn": GroupData.from_node(_rotation_hnn()).elements(5),
-        "t6-cut": GroupData.coerce(t6).elements(6, max_count=500),
+        "chain": (GroupData.from_node(chain.tree), 6,
+                  combination.ENUMERATION_BUDGET),
+        "hnn": (GroupData.from_node(_rotation_hnn()), 5, None),
+        "t6-cut": (GroupData.coerce(t6), 6, 500),
     }
 
 
@@ -933,6 +936,30 @@ def test_listings_are_pinned(monkeypatch):
     # a chain and an HNN node list through their whole model, the T6
     # leaf through the intern with a budget that stops it after depth 3
     _fresh_intern(monkeypatch)
-    listings = _pinned_listings()
-    assert {key: _listing_digests(listed)
-            for key, listed in listings.items()} == PINNED_LISTINGS
+    digests = {key: _listing_digests(data.elements(depth, max_count))
+               for key, (data, depth, max_count) in _pinned_cases().items()}
+    assert digests == PINNED_LISTINGS
+
+
+def test_parents_and_steps_rebuild_the_pinned_words():
+    # enumerate_elements alone, with no intern and no GroupData: each
+    # element is its parent times its step in the model, and the words
+    # spelled by following parents are the pinned ones
+    for key, (data, depth, max_count) in _pinned_cases().items():
+        model = data.model
+        listed = enumerate_elements(model, depth, max_count=max_count)
+        letters = []
+        moves = []
+        for name, g in model.generators().items():
+            letters += ((name, 1), (name, -1))
+            moves += (g, model.inverse(g))
+        words = [()]
+        for i, (parent, step) in enumerate(zip(listed.parents,
+                                               listed.steps)):
+            assert parent <= i
+            assert model.multiply(listed.elements[parent], moves[step]) \
+                == listed.elements[i + 1]
+            words.append(words[parent] + (letters[step],))
+        assert (len(listed.elements), listed.exhausted,
+                listed.depth_completed, _sha(map(format_word, words)),
+                _sha(map(repr, listed.elements))) == PINNED_LISTINGS[key][:5]

@@ -163,6 +163,19 @@ class TestEnumeration:
                 total += 1
         assert total == 73407
 
+    def test_records_keep_no_instance_dict(self):
+        # validated and streamed records hold their fields in slots, with
+        # the genus left out of repr, equality and hash as before
+        validated = CyclicSignature(12, a=1, m_orders=(6, 2), c=1,
+                                    n_orders=(4,))
+        streamed = next(sig for sig in stream_signatures(12, 40)
+                        if sig == validated)
+        for sig in (validated, streamed):
+            assert not hasattr(sig, "__dict__")
+            assert sig.g == 40
+            assert repr(sig) == ("CyclicSignature(n=12, a=1, c=1, "
+                                 "m_orders=(2, 6), n_orders=(4,))")
+
     def test_shell_fields_come_in_order(self):
         # the enumerator sorts nothing: each shell's field tuples must
         # already be in (a, b, c, d, m_orders, n_orders) order

@@ -7,7 +7,7 @@ import pytest
 
 from vskit.group_algebra import (FiniteAbelianGroup, LeafSymbolic,
                                  FreeProductModel, HnnModel, QuotientMap,
-                                 TRIVIAL_GROUP, UnsupportedSymbolicError,
+                                 UnsupportedSymbolicError,
                                  reduce_word, enumerate_elements,
                                  euler_characteristic, normal_form,
                                  validate_theta, kernel_rank,
@@ -40,7 +40,7 @@ def test_subgroup_generation():
     sub = H.subgroup([(1, 1)])
     assert sorted(sub) == [(0, 0), (1, 1)]
     assert len(H.subgroup([(1, 0), (0, 1)])) == 4
-    assert TRIVIAL_GROUP.order == 1
+    assert FiniteAbelianGroup(()).order == 1
 
 
 def test_reduce_free_word():
@@ -370,8 +370,13 @@ def test_symbolic_model_of_composite_leaf_expands():
 
 
 def _shortest_words(tree, depth=4):
-    listed = enumerate_elements(symbolic_model(tree), depth).elements
-    return [format_word(word) for word in listed.values()]
+    model = symbolic_model(tree)
+    letters = [(name, exp) for name in model.generators() for exp in (1, -1)]
+    listed = enumerate_elements(model, depth)
+    words = [()]
+    for parent, step in zip(listed.parents, listed.steps):
+        words.append(words[parent] + (letters[step],))
+    return [format_word(word) for word in words]
 
 
 def _digest(words):

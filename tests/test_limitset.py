@@ -42,7 +42,7 @@ class TestSampling:
 
     def test_finite_leaf_is_empty(self):
         s = sample(make_basic("T1", n=5), depth=4)
-        assert s.is_empty
+        assert not s.discs and not s.points
         assert s.max_diameter_by_depth == ()
 
     def test_rank_two_classical_system(self):

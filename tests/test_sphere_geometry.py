@@ -121,11 +121,6 @@ class TestDiscs:
         image = disc_image(CONJ, d)
         assert image.contains(-1j)
 
-    def test_interior_point(self):
-        d = SphereDisc.from_center_radius(2, 1, inside=False)
-        p = d.interior_point()
-        assert d.contains(p)
-
     @pytest.mark.parametrize("conformal", [True, False])
     def test_disc_image_adjugate_transport(self, conformal):
         # a generic map, built as a product so its matrix is not exactly
@@ -135,13 +130,17 @@ class TestDiscs:
         center, radius = 0.3 + 0.2j, 0.5
         for inside in (True, False):
             d = SphereDisc.from_center_radius(center, radius, inside=inside)
+            # a point inside d and one inside its complement
+            into, away = center, center + 2 * radius
+            if not inside:
+                into, away = away, into
             image = disc_image(m, d)
             for angle in (0.0, 2.0, 4.0):
                 p = center + radius * complex(math.cos(angle),
                                               math.sin(angle))
                 assert abs(image.circle.eval(m(p))) <= 1e-9
-            assert image.contains(m(d.interior_point()))
-            assert not image.contains(m(d.complement().interior_point()))
+            assert image.contains(m(into))
+            assert not image.contains(m(away))
 
 
 class TestTrustedDiscImage:
