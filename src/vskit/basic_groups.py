@@ -29,7 +29,6 @@ from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
                             euler_characteristic, symbolic_model)
-from . import combination
 from .combination import (Leaf, free_product, CombinationError,
                           word_names)
 
@@ -534,6 +533,7 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
                 f"({_glue_display(gluings[k].left)} reused)")
 
     assembly = Leaf(components[0])
+    gens = dict(components[0].gens)     # the assembly's, in walk order
     placed = [components[0]]
     theta = components[0].default_theta()
     images = dict(theta.images)
@@ -541,14 +541,13 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
 
     for k, glue in enumerate(gluings):
         right = components[k + 1]
-        left_matrices = combination.collect_matrices(assembly)
         for name in word_names(glue.left):
-            if name not in left_matrices:
+            if name not in gens:
                 raise BasicGroupError(f"unknown left generator {name!r}")
         for name in word_names(glue.right):
             if name not in right.gens:
                 raise BasicGroupError(f"unknown right generator {name!r}")
-        u_left = math.prod((left_matrices[n] for n in word_names(glue.left)),
+        u_left = math.prod((gens[n] for n in word_names(glue.left)),
                            start=MoebiusMap.identity())
         u_right = math.prod((right.gens[n] for n in word_names(glue.right)),
                             start=MoebiusMap.identity())
@@ -609,6 +608,7 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
         for name, img in right_theta.images.items():
             images[name] = change(img)
         placed.append(placed_right)
+        gens.update(placed_right.gens)
         assembly = node
 
     chi = euler_characteristic(assembly)
@@ -617,7 +617,6 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
         raise RuntimeError("internal error: non-integer B3 rank")
     cone_count = sum(len(_CONE_TABLE[bg.btype]) for bg in components) \
         - 2 * len(gluings)
-    gens = combination.collect_matrices(assembly)
     schottky = tuple(n for bg in placed for n in bg.schottky_names)
     theta = QuotientMap(H, images)
     return BasicGroup("B3", {}, gens, schottky, symbolic_model(assembly), H,

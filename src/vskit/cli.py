@@ -33,16 +33,16 @@ Stanzas:
       letter 2 0 0 1/2
       disc1 0 0 1 inside      paired discs (side defaults to inside)
       disc2 0 0 16 inside
-      h1 L1.E                 optional conjugated cyclic subgroups
-      h2 L1.E
-      stable t                optional letter name
+      h1 L1.E                 optional conjugated cyclic subgroups,
+      h2 L1.E                 both or neither, named by base generators
+      stable t                optional letter name, not a base generator
 
     pairing                   explicit Schottky pairing system
       pair 0 0 1/4  0 0 4  4 0 0 1/4      C, C', and the map
 
     theta                     quotient map to a finite abelian group
       target 3                cyclic orders of the target
-      image L1.E 1            exponent vector per generator
+      image L1.E 1            exponent vector, one line per generator
 
     root NAME                 which node is the whole group
 
@@ -66,7 +66,7 @@ from . import cyclic_case
 from .basic_groups import (BASIC_PARAMETERS, BASIC_TYPES, BasicGroupError,
                            OrbifoldSignature, make_basic, orbifold_signature)
 from .combination import (CombinationError, Leaf, assemble, chain_leaves,
-                          free_product, hnn_extension)
+                          collect_matrices, free_product, hnn_extension)
 from .group_algebra import (FiniteAbelianGroup, QuotientMap, kernel_rank,
                             walk_tree)
 from .limitset import disconnectedness_report, render, sample
@@ -100,8 +100,8 @@ class Scene:
     root: str = None
     pairing: list = field(default_factory=list)     # raw number tuples
     theta: dict = None                              # {"target":…, "images":…}
-    # (leaf or node name, field) -> line of that field, (leaf name, None)
-    # -> line of the leaf stanza, (None, "root") -> line of the root
+    # (leaf or node name, field) -> line of that field, (leaf or node
+    # name, None) -> line of its stanza, (None, "root") -> line of the root
     # stanza, (None, k) -> line of the k-th pair; left out of equality,
     # since an echo moves lines
     lines: dict = field(default_factory=dict, compare=False, repr=False)
@@ -264,6 +264,13 @@ def _parse_hnn(name, fields, line):
             if len(tokens) != 1:
                 raise SceneError(f"{key} takes one name", lineno)
             spec[key] = tokens[0]
+    for given, missing in (("h1", "h2"), ("h2", "h1")):
+        if given in spec and missing not in spec:
+            raise SceneError(f"hnn {name!r} needs {missing} with {given}",
+                             line)
+    if "h1" in spec and spec["base"] == "none":
+        raise SceneError("edge groups need a nontrivial base",
+                         got["h1"][0])
     return spec
 
 
@@ -306,9 +313,9 @@ def parse_scene(text):
                     raise SceneError("spacing must be positive", lineno)
                 scene.settings["spacing"] = value
         elif kind in ("leaf", "product", "hnn"):
+            scene.lines[(name, None)] = line
             if kind == "leaf":
                 scene.leaves.append((name, _parse_leaf(name, fields, line)))
-                scene.lines[(name, None)] = line
             else:
                 parse = _parse_product if kind == "product" else _parse_hnn
                 scene.nodes.append((kind, name, parse(name, fields, line)))
@@ -337,16 +344,19 @@ def parse_scene(text):
             if not orders:
                 raise SceneError("theta target needs at least one order",
                                  lineno)
-            images = []
+            images = {}
             for lineno, tokens in got.get("image", []):
                 if len(tokens) != len(orders) + 1:
                     raise SceneError(
                         f"image takes a name and {len(orders)} exponents",
                         lineno)
+                if tokens[0] in images:
+                    raise SceneError(f"duplicate image for {tokens[0]!r}",
+                                     lineno)
                 vec = tuple(_int_field([t], lineno, "exponent")
                             for t in tokens[1:])
-                images.append((tokens[0], vec))
-            scene.theta = {"target": orders, "images": images}
+                images[tokens[0]] = vec
+            scene.theta = {"target": orders, "images": list(images.items())}
     return scene
 
 
@@ -526,13 +536,22 @@ def construct(scene, depth=6):
         else:
             base = None if spec["base"] == "none" \
                 else resolve(spec["base"], line_of((name, "base")))
+            base_names = collect_matrices(base) if base is not None else {}
             kwargs = {"depth": depth}
-            if "stable" in spec:
-                kwargs["stable_name"] = spec["stable"]
-            if "h1" in spec:
-                kwargs["H1"] = spec["h1"]
-            if "h2" in spec:
-                kwargs["H2"] = spec["h2"]
+            for key, arg in (("h1", "H1"), ("h2", "H2")):
+                if key in spec:
+                    if spec[key] not in base_names:
+                        raise SceneError(
+                            f"unknown edge generator {spec[key]!r}",
+                            line_of((name, key)))
+                    kwargs[arg] = spec[key]
+            # the default letter name clashes at the stanza's line
+            stable = spec.get("stable", "stable")
+            if stable in base_names:
+                where = "stable" if "stable" in spec else None
+                raise SceneError(f"stable letter name {stable!r} already "
+                                 "used in the base", line_of((name, where)))
+            kwargs["stable_name"] = stable
             letter = _as_matrix(spec["letter"], "letter",
                                 line_of((name, "letter")))
             discs = [_as_disc(spec[key], key, line_of((name, key)))

@@ -60,6 +60,7 @@ def format_word(word):
 
 class Leaf:
     kind = "leaf"
+    certificates = ()
 
     def __init__(self, group, label=None):
         self.group = group
@@ -76,19 +77,18 @@ class FreeProductNode:
     discs = None
     # certified nodes only: the frozenset of the tree's generator names
     names = None
-    # certified trivial-amalgam nodes only: (depth, listing) of the right
-    # factor from its B2 check, until a junction built on this node takes it
+    # certified trivial-amalgam nodes only: (depth, listing) of factors[-1]
+    # from its B2 check, until a junction built on this node takes it
     right_listing = None
 
-    def __init__(self, left, right, amalgam, amalgam_order, amalgam_elements,
-                 amalgam_images, certificate):
-        self.left = left
-        self.right = right
+    def __init__(self, factors, amalgam, amalgam_order, amalgam_elements,
+                 amalgam_images, certificates):
+        self.factors = factors                  # two if amalgamated
         self.amalgam = amalgam                  # None or (name_left, name_right)
         self.amalgam_order = amalgam_order      # 1 for the trivial amalgam
         self.amalgam_elements = amalgam_elements
         self.amalgam_images = amalgam_images
-        self.certificate = certificate
+        self.certificates = certificates        # per junction, or None
 
     @property
     def label(self):
@@ -108,7 +108,7 @@ class HnnNode:
         self.stable = stable
         self.edge_order = edge_order
         self.edge_is_full_base = edge_is_full_base
-        self.certificate = certificate
+        self.certificates = (certificate,)
 
     @property
     def label(self):
@@ -129,9 +129,9 @@ def _tree_label(tree):
             else:
                 sides = ["*".join(word_names(s)) for s in node.amalgam]
                 tag = f"amalgam over {sides[0]} ~ {sides[1]}"
-            right = labels.pop()
-            left = labels.pop()
-            labels.append(f"({left}) * ({right}) [{tag}]")
+            k = len(node.factors)
+            joined = " * ".join([f"({label})" for label in labels[-k:]])
+            labels[-k:] = [f"{joined} [{tag}]"]
         else:
             inner = "trivial" if node.base is None else labels.pop()
             labels.append(f"HNN({inner}; stable {node.stable_name})")
@@ -162,8 +162,8 @@ def collect_matrices(node):
 
 
 def node_certificates(node):
-    return [n.certificate for n in walk_tree(node)
-            if n.kind != "leaf" and n.certificate is not None]
+    return [c for n in walk_tree(node) for c in n.certificates
+            if c is not None]
 
 
 @dataclass
@@ -375,9 +375,9 @@ def _ping_pong_invariance(left, X, depth):
     from L carries B2 into B1 and, by (b), X into B1.  So g(X) lies in
     B2 when g's first letter (leftmost) is from G; in l(B2), which
     misses X by (b) for l^-1, when it is l followed by other letters;
-    and off X by (a) when g = l.  Only L is listed, to `depth`: the
-    listing left's own B2 check made (left.right_listing) when it was
-    made to this depth, else a new one.
+    and off X by (a) when g = l.  Only L, left.factors[-1], is listed,
+    to `depth`: the listing left's own B2 check made (left.right_listing)
+    when it was made to this depth, else a new one.
 
     The status is the weakest of the two recorded checks and this
     listing, the depth the smallest.  Returns None when left is not such
@@ -392,7 +392,7 @@ def _ping_pong_invariance(left, X, depth):
         return None
     listed_depth, listed = left.right_listing or (None, None)
     if listed_depth != depth:
-        listed = GroupData.from_node(left.right).elements(
+        listed = GroupData.from_node(left.factors[-1]).elements(
             depth, max_count=ENUMERATION_BUDGET)
     # (a) and (b) from one push of X through each element
     onto_x_and_b2 = image_relations(X, (X, B2))
@@ -432,11 +432,17 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     the right group.  Any failed hypothesis raises CombinationError with
     the failing check attached.
 
+    A trivial-amalgam junction of a leaf onto a trivial-amalgam product
+    extends it by one factor and one certificate; any other junction
+    makes a node over left and right.  The added factors carry no
+    certificates, so a walk meets every certificate in the order made.
+
     When the amalgam is trivial and left is itself a certified
-    trivial-amalgam product G * L with discs (C1, C2), B1's invariance
-    in left is derived by ping-pong from C1's and C2's recorded checks
-    and the listing of L that left's B2 check made, provided B1 lies in
-    C1 and no non-identity element of L moves B1 to meet B1 or C2.
+    trivial-amalgam product G * L (L its last factor) with discs
+    (C1, C2), B1's invariance in left is derived by ping-pong from C1's
+    and C2's recorded checks and the listing of L that left's B2 check
+    made, provided B1 lies in C1 and no non-identity element of L moves
+    B1 to meet B1 or C2.
     Otherwise, and whenever that derivation fails, the whole left group
     is listed.  So a chain built leaf by leaf lists each leaf once: the
     new node keeps its right factor's listing for the next junction, and
@@ -506,8 +512,13 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
         report, "B2", _invariance(B2, h_right, right_data, depth,
                                   right_listed),
         "right factor")
-    node = FreeProductNode(left, right, amalgam, amalgam_order,
-                           amalgam_elements, amalgam_images, report)
+    factors, certificates = (left,), ()
+    if amalgam is None and right.kind == "leaf" and left.kind == "product" \
+            and left.amalgam is None:
+        factors, certificates = left.factors, left.certificates
+    node = FreeProductNode(factors + (right,), amalgam, amalgam_order,
+                           amalgam_elements, amalgam_images,
+                           certificates + (report,))
     node.discs = ((B1, b1_check), (B2, b2_check))
     node.names = left_names | right_data.matrices.keys()
     if right_listed is not None:
@@ -525,14 +536,16 @@ def _generator_names(node):
     return frozenset(collect_matrices(node))
 
 
-def uncertified_free_product(left, right):
-    """A trivial-amalgam product node without hypothesis checks.
+def uncertified_free_product(*factors):
+    """One trivial-amalgam product node over the factors, unchecked.
 
     Used for bulk symbolic work (rank sweeps) where only chi and theta
-    matter; certificate is None so downstream consumers can tell.
+    matter; each certificate is None so downstream consumers can tell.
     """
-    return FreeProductNode(as_node(left), as_node(right), None, 1,
-                           None, None, None)
+    if len(factors) < 2:
+        raise ValueError("a free product needs at least two factors")
+    return FreeProductNode(tuple([as_node(f) for f in factors]), None, 1,
+                           None, None, (None,) * (len(factors) - 1))
 
 
 def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,

@@ -406,10 +406,8 @@ def build_cyclic(sig, spacing=3.0, depth=6, certify=True):
             chain.append(make_basic(**kwargs))
         return CyclicConstruction(sig, chain.node, theta,
                                   tuple(chain.groups))
-    node = None
-    groups = []
-    for station, (kwargs, _) in enumerate(specs):
-        leaf = _station_leaf(kwargs, station, spacing)
-        node = leaf if node is None else uncertified_free_product(node, leaf)
-        groups.append(leaf.group)
-    return CyclicConstruction(sig, node, theta, tuple(groups))
+    leaves = [_station_leaf(kwargs, station, spacing)
+              for station, (kwargs, _) in enumerate(specs)]
+    node = leaves[0] if len(leaves) == 1 else uncertified_free_product(*leaves)
+    return CyclicConstruction(sig, node, theta,
+                              tuple([leaf.group for leaf in leaves]))

@@ -3,13 +3,13 @@
 Groups are modeled structurally.  A leaf group is a semidirect product
 F_r x| T of a free group by a finite abelian group acting by inverting
 some free generators; its elements (w, t) are already normal forms.
-Internal nodes are free products and HNN extensions.  A run of
-trivial-amalgam products is one free product over all its factors, as
-the paper writes K: its elements are alternating (factor index,
-syllable) sequences.  A product amalgamated over a shared involution
-stays binary and uses coset representatives.  Either way the normal
-form is canonical, so identity testing and deduplication are exact, not
-numerical.
+Internal nodes are free products and HNN extensions.  A
+trivial-amalgam product node is one free product over all its factors,
+as the paper writes K = K_1 * ... * K_k: its elements are alternating
+(factor index, syllable) sequences.  A product amalgamated over a
+shared involution has two factors and uses coset representatives.
+Either way the normal form is canonical, so identity testing and
+deduplication are exact, not numerical.
 
 Ranks of kernels of quotient maps onto finite abelian groups come from
 the Euler characteristic: chi is additive over free products (minus the
@@ -382,16 +382,17 @@ class HnnModel:
 def walk_tree(tree):
     """Yield every node of a construction tree once, without recursion.
 
-    Order guarantee: post-order, children before their parent and left
-    before right (an HNN node after its base).  Composite leaves (groups
-    carrying their own .tree, like the B3 amalgams) are yielded as leaves
-    and not entered; walk_expanded enters them.  This is the only code
-    that goes down a tree through .left, .right and .base; every other
-    walk is a loop over it.  Folds keep a stack of values: a leaf pushes,
-    a product pops two, an HNN node pops its base if it has one.
+    Order guarantee: post-order, children before their parent and
+    factors in order (an HNN node after its base).  Composite leaves
+    (groups carrying their own .tree, like the B3 amalgams) are yielded
+    as leaves and not entered; walk_expanded enters them.  This is the
+    only code that goes down a tree through .factors and .base; every
+    other walk is a loop over it.  Folds keep a stack of values: a leaf
+    pushes, a product pops one per factor, an HNN node pops its base if
+    it has one.
     """
-    # a pre-order that visits right before left, reversed, is the
-    # left-before-right post-order
+    # a pre-order that visits the factors last to first, reversed, is the
+    # first-to-last post-order
     order = []
     stack = [tree]
     while stack:
@@ -399,8 +400,7 @@ def walk_tree(tree):
         order.append(node)
         kind = node.kind
         if kind == "product":
-            stack.append(node.left)
-            stack.append(node.right)
+            stack.extend(node.factors)
         elif kind == "hnn":
             if node.base is not None:
                 stack.append(node.base)
@@ -412,36 +412,24 @@ def walk_tree(tree):
 def symbolic_model(tree):
     """Build the group model for a construction tree.
 
-    Leaves carry their own LeafSymbolic.  Each run of trivial-amalgam
-    products, nested left or right, becomes one FreeProductModel over its
-    factors in leaf order; an amalgamated product pairs its two child
-    models, with the amalgam involution embedded on each side; HNN nodes
-    use the covered shapes.
+    Leaves carry their own LeafSymbolic.  A product node becomes one
+    FreeProductModel over its factors' models, with an amalgam's
+    involution embedded on each side; HNN nodes use the covered shapes.
     """
-    def closed(value):
-        # a list on the stack is a run of free factors still open
-        return FreeProductModel(value) if isinstance(value, list) else value
-
     values = []
     for node in walk_tree(tree):
         if node.kind == "leaf":
             values.append(node.group.symbolic)
         elif node.kind == "product":
-            right = values.pop()
-            left = values.pop()
-            if node.amalgam_elements is None:
-                run = left if isinstance(left, list) else [left]
-                run.extend(right if isinstance(right, list) else (right,))
-                values.append(run)
-            else:
-                values.append(FreeProductModel((closed(left), closed(right)),
-                                               node.amalgam_elements))
+            k = len(node.factors)
+            values[-k:] = [FreeProductModel(values[-k:],
+                                            node.amalgam_elements)]
         elif node.base is None:
             values.append(HnnModel(None, node.stable_name, False))
         else:
-            values.append(HnnModel(closed(values.pop()), node.stable_name,
+            values.append(HnnModel(values.pop(), node.stable_name,
                                    node.edge_is_full_base))
-    return closed(values.pop())
+    return values.pop()
 
 
 def walk_expanded(tree):
@@ -465,12 +453,13 @@ def walk_expanded(tree):
 def euler_characteristic(tree):
     """Rational chi of the tree group.
 
-    Free product over amalgam H: chi = chi_left + chi_right - chi(H);
-    HNN over edge H: chi = chi_base - chi(H); chi(trivial) = 1 and
-    chi(Z_m) = 1/m.  Leaves carry chi = (1 - rank)/index directly.
-    Unrolled, chi is the sum of the leaf terms minus one edge term per
-    node (plus 1 per HNN over the trivial base), so the walk sums
-    integer numerators per denominator and forms one Fraction sum.
+    Free product of k factors over amalgam H: chi = the sum of the
+    factors' chi - (k - 1) chi(H); HNN over edge H: chi = chi_base -
+    chi(H); chi(trivial) = 1 and chi(Z_m) = 1/m.  Leaves carry
+    chi = (1 - rank)/index directly.  Unrolled, chi is the sum of the
+    leaf terms minus one edge term per junction (plus 1 per HNN over the
+    trivial base), so the walk sums integer numerators per denominator
+    and forms one Fraction sum.
     """
     numerators = defaultdict(int)
     for node in walk_tree(tree):
@@ -478,7 +467,7 @@ def euler_characteristic(tree):
             chi = node.group.chi
             numerators[chi.denominator] += chi.numerator
         elif node.kind == "product":
-            numerators[node.amalgam_order] -= 1
+            numerators[node.amalgam_order] -= len(node.factors) - 1
         else:
             if node.base is None:
                 numerators[1] += 1

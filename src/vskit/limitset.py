@@ -173,12 +173,11 @@ def _sample_pairing(system, depth, require_verified, budget):
 def _uncertified_nodes(node):
     problems = []
     for n in walk_tree(node):
-        if n.kind == "leaf":
-            continue
-        if n.certificate is None:
-            problems.append(f"{n.kind} node carries no certificate")
-        elif not n.certificate.ok:
-            problems.append(f"{n.kind} node certificate has failures")
+        for certificate in n.certificates:
+            if certificate is None:
+                problems.append(f"{n.kind} node carries no certificate")
+            elif not certificate.ok:
+                problems.append(f"{n.kind} node certificate has failures")
     return problems
 
 

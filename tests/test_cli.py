@@ -224,6 +224,39 @@ class TestParsing:
         assert run("build", [scene_file(text)]) == 2
         assert capsys.readouterr().out == f"scene error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["build", "rank"])
+    def test_repeated_theta_image_is_a_scene_error(self, scene_file, capsys,
+                                                   command):
+        text = RANK_T4 + "  image L.E 2\n"
+        with pytest.raises(SceneError, match="duplicate image for 'L.E'"):
+            parse_scene(text)
+        assert run(command, [scene_file(text)]) == 2
+        assert capsys.readouterr().out == (
+            "scene error: line 11: duplicate image for 'L.E'\n")
+
+    @pytest.mark.parametrize("base,fields,message", [
+        ("Z", "  h1 Z.E\n", "line 11: hnn 'H' needs h2 with h1"),
+        ("Z", "  h2 Z.E\n", "line 11: hnn 'H' needs h1 with h2"),
+        ("none", "  h1 Z.E\n  h2 Z.E\n",
+         "line 16: edge groups need a nontrivial base"),
+        ("Z", "  h1 Z.E\n  h2 Z.X\n", "line 17: unknown edge generator 'Z.X'"),
+        ("Z", "  stable Z.E\n",
+         "line 16: stable letter name 'Z.E' already used in the base"),
+        ("G", "", "line 11: stable letter name 'stable' already used in "
+         "the base"),
+    ], ids=["h1-alone", "h2-alone", "base-none", "unknown-h2", "stable",
+            "default-stable"])
+    def test_malformed_hnn_stanzas_carry_line_numbers(self, scene_file,
+                                                      capsys, base, fields,
+                                                      message):
+        text = ("leaf Z\n  type T1\n  n 2\n\n"
+                + HNN_OK.replace("hnn H", "hnn G")
+                + f"\nhnn H\n  base {base}\n  letter 4 0 0 1/4\n"
+                "  disc1 0 0 1/4 inside\n  disc2 0 0 4 outside\n" + fields
+                + "\nroot H\n")
+        assert run("build", [scene_file(text)]) == 2
+        assert capsys.readouterr().out == f"scene error: {message}\n"
+
     @pytest.mark.parametrize("fields,message", [
         ("type T1\n  n 3\n  lam 4",
          "line 6: leaf type T1 takes no field 'lam'"),

@@ -21,7 +21,9 @@ from vskit.combination import (CombinationError, Leaf, GroupData,
                                PlacementChain, chain_leaves)
 from vskit import group_algebra
 from vskit.group_algebra import (enumerate_elements, euler_characteristic,
-                                 normal_form, symbolic_model, walk_expanded)
+                                 normal_form, symbolic_model, walk_expanded,
+                                 walk_tree)
+from vskit.limitset import sample
 from vskit.basic_groups import make_b3, make_basic
 from vskit.cyclic_case import CyclicSignature, build_cyclic
 
@@ -114,7 +116,7 @@ def test_amalgamated_free_product_of_two_t3():
     node = free_product(Leaf(left), Leaf(right), ("a.U", "b.U"),
                         B1, B1.complement())
     assert node.amalgam_order == 2
-    assert node.certificate.ok
+    assert node.certificates[-1].ok
     assert "amalgam over a.U ~ b.U" in node.label
     assert euler_characteristic(node) == 0
     model = symbolic_model(node)
@@ -232,8 +234,8 @@ def test_hnn_extension_of_rotation_group():
     node = _rotation_hnn()
     assert node.edge_order == 3
     assert node.edge_is_full_base
-    assert node.certificate.ok
-    assert all(r.status == "pass" for r in node.certificate.checks)
+    assert node.certificates[-1].ok
+    assert all(r.status == "pass" for r in node.certificates[-1].checks)
     assert euler_characteristic(node) == 0
     assert symbolic_model(node).is_identity(normal_form(
         node, [("e.A", 1), ("e.E", 1), ("e.A", -1), ("e.E", -1)]))
@@ -243,7 +245,7 @@ def test_hnn_extension_of_rotation_group():
 
 
 def test_hnn_extension_lists_its_base_once(monkeypatch):
-    lines = [c.line() for c in _rotation_hnn().certificate.checks]
+    lines = [c.line() for c in _rotation_hnn().certificates[-1].checks]
     calls = []
     real_elements = GroupData.elements
 
@@ -253,7 +255,7 @@ def test_hnn_extension_lists_its_base_once(monkeypatch):
 
     monkeypatch.setattr(GroupData, "elements", elements)
     # the B1 and B2 invariance checks and the drag sweep share one listing
-    assert [c.line() for c in _rotation_hnn().certificate.checks] == lines
+    assert [c.line() for c in _rotation_hnn().certificates[-1].checks] == lines
     assert calls == [6]
     assert lines == [
         "[exact-pass] stable letter is loxodromic",
@@ -388,7 +390,7 @@ def test_placement_chain_positions_and_retry():
     chain.append(make_basic("T2", lam=1.5, prefix="s."))
     # the slow multiplier fails at gap 3 and succeeds after one doubling
     assert chain.right_edge == 12.0
-    assert chain.node.certificate.ok
+    assert chain.node.certificates[-1].ok
 
 
 def test_placement_chain_raises_shared_names_at_once(monkeypatch):
@@ -448,6 +450,101 @@ def test_chain_input_validation():
         PlacementChain(spacing=0.0)
     with pytest.raises(ValueError):
         chain_leaves([])
+
+
+# ---------------------------------------------------------------------------
+# a chain of k groups is one product node over k factors
+
+
+_CHAIN_GROUPS = (("T1", {"n": 2}), ("T1", {"n": 3}), ("T2", {"lam": 4.0}),
+                 ("T4", {"n": 3, "lam": 2.0}))
+
+
+def _chain_groups():
+    return [make_basic(btype, prefix=f"k{i}.", **params)
+            for i, (btype, params) in enumerate(_CHAIN_GROUPS)]
+
+
+def test_certified_chain_is_one_node_with_a_certificate_per_junction():
+    chain = PlacementChain()
+    for group in _chain_groups():
+        chain.append(group)
+    node = chain.node
+    assert node.kind == "product"
+    assert [f.kind for f in node.factors] == ["leaf"] * 4
+    assert [f.group for f in node.factors] == chain.groups
+    assert len(node.certificates) == 3
+    # the junctions' reports are the verify lines, in order
+    assert list(node.certificates) == node_certificates(node)
+    assert all(cert.checks[0].name.startswith("B1, B2 complementary")
+               for cert in node.certificates)
+    assert sum(n.kind == "product" for n in walk_tree(node)) == 1
+
+
+def test_uncertified_chain_is_one_node_without_certificates():
+    sig = CyclicSignature(6, a=1, m_orders=(2,), c=1, n_orders=(3,))
+    node = build_cyclic(sig, certify=False).tree
+    assert len(node.factors) == 4
+    assert node.certificates == (None, None, None)
+    assert [n.kind for n in walk_tree(node)] == ["leaf"] * 4 + ["product"]
+    with pytest.raises(ValueError, match="at least two factors"):
+        uncertified_free_product(node.factors[0])
+
+
+def test_certified_junction_on_an_uncertified_chain_stays_uncertified():
+    *head, last = _chain_groups()
+    chain = PlacementChain()
+    for group in head:
+        chain.append(group)
+    chain.node = uncertified_free_product(*chain.groups)
+    node = chain.append(last)
+    assert len(node.factors) == 4
+    assert node.certificates[:2] == (None, None)
+    assert node.certificates[-1].ok
+    assert node_certificates(node) == [node.certificates[-1]]
+    with pytest.raises(ValueError, match="uncertified tree rejected: "
+                       "product node carries no certificate"):
+        sample(node)
+
+
+def test_euler_characteristic_of_an_n_ary_node():
+    leaves = [Leaf(group) for group in _chain_groups()]
+    node = uncertified_free_product(*leaves)
+    assert euler_characteristic(node) == \
+        sum(leaf.group.chi for leaf in leaves) - 3
+    assert euler_characteristic(node) == euler_characteristic(
+        uncertified_free_product(uncertified_free_product(*leaves[:2]),
+                                 *leaves[2:]))
+
+
+def test_junction_certificates_follow_the_factor_they_join():
+    # a chain joined to an HNN factor stays one factor of a new node, so
+    # the HNN's certificate comes before the junction that added it
+    head = chain_leaves([make_basic("T1", n=2, prefix="a."),
+                         make_basic("T1", n=3, prefix="b.")])
+    frame = MoebiusMap(101, 99, 1, 1)            # 0 -> 99, inf -> 101
+    A = frame * MoebiusMap(4, 0, 0, 0.25) * frame.inverse()
+    D1 = disc_image(frame, _disc(0, 0.25))
+    hnn = hnn_extension(None, A, D1, disc_image(A, D1).complement(),
+                        stable_name="t")
+    B1 = _disc(100, 10)
+    node = free_product(head, hnn, None, B1, B1.complement())
+    assert node.factors == (head, hnn)
+    assert node_certificates(node) == [head.certificates[0],
+                                       hnn.certificates[0],
+                                       node.certificates[0]]
+    assert node.label == ("((T1(n=2) (conjugated)) * (T1(n=3) (conjugated)) "
+                          "[free product]) * (HNN(trivial; stable t)) "
+                          "[free product]")
+    # a leaf joined to that node extends it
+    group = make_basic("T1", n=2, prefix="c.")
+    leaf = Leaf(group.conjugated_by(
+        station_frame(200.0, group.standard_scale())))
+    B1 = _disc(200, 10)
+    extended = free_product(node, leaf, None, B1, B1.complement())
+    assert extended.factors == (head, hnn, leaf)
+    assert node_certificates(extended) == \
+        node_certificates(node) + [extended.certificates[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +994,7 @@ def _listing_digests(listed):
 def _pinned_cases():
     """Key -> (GroupData, depth, max_count) of each pinned listing."""
     chain = build_cyclic(CyclicSignature(12, a=1, m_orders=(2, 2), c=1))
-    assert chain.tree.certificate.ok
+    assert chain.tree.certificates[-1].ok
     t6 = make_basic("T6", lam1=30.0, lam2=4.0)
     return {
         "chain": (GroupData.from_node(chain.tree), 6,

@@ -417,8 +417,8 @@ def test_amalgam_enumeration_order_is_pinned():
     right = Leaf(make_basic("T3", prefix="c."))
     elements = (resolve_generator_word(GroupData.from_node(left), "a.U")[2],
                 resolve_generator_word(GroupData.from_node(right), "c.U")[2])
-    node = FreeProductNode(left, right, ("a.U", "c.U"), 2, elements,
-                           ((("a.U", 1),), (("c.U", 1),)), None)
+    node = FreeProductNode((left, right), ("a.U", "c.U"), 2, elements,
+                           ((("a.U", 1),), (("c.U", 1),)), (None,))
     words = _shortest_words(node)
     assert len(words) == 228 and "c.U" not in words
     assert _digest(words) == ("9f4303b3c9dd5250757bf55159b91302"
