@@ -28,9 +28,18 @@ form itself, and the fixed points are those of fixed_points for exactly
 the maps classify calls loxodromic: both are bit for bit what classify,
 fixed_points and a sign test of the raw against the canonical
 coefficients give.
+
+render reads a sample in one pass for its view box, kept as a running
+box with no coordinate lists, and joins its SVG lines in fixed chunks
+as it makes them, the closing tag carrying the final newline.  Its
+working memory is about twice the output (the chunks and the joined
+result) plus one (tail, x, y, r) tuple per circle, and those tuples are
+freed before the final join.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .combination import GroupData
 from .group_algebra import walk_tree
@@ -45,6 +54,7 @@ __all__ = ["LimitSetSample", "DisconnectednessReport", "sample",
 CIRCLE_BUDGET = 10 ** 6
 IMAGE_SIZE = 800.0      # nominal side of the SVG view box
 IMAGE_MARGIN = 0.06     # blank border, as a share of IMAGE_SIZE
+_CHUNK = 1024           # SVG lines per chunk that render joins
 
 
 @dataclass(frozen=True)
@@ -294,56 +304,80 @@ def render(sample):
 
     Discs are stroked circles colored by word length, fixed points are
     filled dots.  Boundary lines and the point at infinity have no
-    planar image; they are tallied in a comment instead.  Identical
-    samples produce identical bytes.
+    planar image; they are tallied in a comment instead, also when
+    nothing else is drawn.  Identical samples produce identical bytes.
+
+    Memory: one pass over the discs and points keeps the view box as a
+    running x0, x1, y0, y1 and one (tail, x, y, r) tuple per drawable
+    circle.  The lines are joined _CHUNK at a time as they are made and
+    the chunks once, the closing tag carrying the final newline, so no
+    full-size copy follows the join.  The peak is about twice the
+    output (the chunks and the result), the per-circle tuples being
+    held while the chunks are made and freed before the join.
     """
     circles = []
-    dots = []
+    tails = {}  # the fill, hue and stroke text after r, once per level
+    stroke = IMAGE_SIZE / 640.0
     skipped = 0
+    x0 = y0 = math.inf
+    x1 = y1 = -math.inf
     for word, disc in sample.discs:
         c = disc.circle
         if c.is_line():
             skipped += 1
             continue
-        center, radius = c.center_radius()
-        circles.append((len(word), center.real, center.imag, radius))
-    for p in sample.points:
-        if p is INF:
-            skipped += 1
-        else:
-            dots.append((p.real, p.imag))
-    if not circles and not dots:
-        return "\n".join([_svg_header(IMAGE_SIZE, IMAGE_SIZE),
-                          "  <!-- empty sample -->", "</svg>"]) + "\n"
-    xs = [x - r for _, x, _, r in circles] + [x + r for _, x, _, r in
-                                              circles] + [x for x, _ in dots]
-    ys = [y - r for _, _, y, r in circles] + [y + r for _, _, y, r in
-                                              circles] + [y for _, y in dots]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    span = max(x1 - x0, y1 - y0, 1e-12)
-    scale = IMAGE_SIZE * (1.0 - 2.0 * IMAGE_MARGIN) / span
-    pad = IMAGE_SIZE * IMAGE_MARGIN
-    width = (x1 - x0) * scale + 2.0 * pad
-    height = (y1 - y0) * scale + 2.0 * pad
-    stroke = IMAGE_SIZE / 640.0
-    out = [_svg_header(width, height)]
-    if skipped:
-        out.append(f"  <!-- {skipped} unbounded elements omitted -->")
-    # the fill, hue and stroke text after r, formatted once per level
-    tails = {}
-    for level, x, y, r in circles:
+        center, r = c.center_radius()
+        x, y = center.real, center.imag
+        if x - r < x0:
+            x0 = x - r
+        if x + r > x1:
+            x1 = x + r
+        if y - r < y0:
+            y0 = y - r
+        if y + r > y1:
+            y1 = y + r
+        level = len(word)
         tail = tails.get(level)
         if tail is None:
             hue = (37 + 53 * (level - 1)) % 360
             tail = tails[level] = (f'" fill="none" '
                                    f'stroke="hsl({hue},65%,38%)" '
                                    f'stroke-width="{stroke:.6f}"/>')
-        out.append(f'  <circle cx="{(x - x0) * scale + pad:.6f}" '
-                   f'cy="{(y1 - y) * scale + pad:.6f}" '
-                   f'r="{r * scale:.6f}{tail}')
+        circles.append((tail, x, y, r))
+    finite = [p for p in sample.points if p is not INF]
+    skipped += len(sample.points) - len(finite)
+    for p in finite:
+        x, y = p.real, p.imag
+        if x < x0:
+            x0 = x
+        if x > x1:
+            x1 = x
+        if y < y0:
+            y0 = y
+        if y > y1:
+            y1 = y
+    omitted = f"  <!-- {skipped} unbounded elements omitted -->"
+    if not circles and not finite:
+        return "\n".join([_svg_header(IMAGE_SIZE, IMAGE_SIZE),
+                          omitted if skipped else "  <!-- empty sample -->",
+                          "</svg>\n"])
+    span = max(x1 - x0, y1 - y0, 1e-12)
+    scale = IMAGE_SIZE * (1.0 - 2.0 * IMAGE_MARGIN) / span
+    pad = IMAGE_SIZE * IMAGE_MARGIN
+    width = (x1 - x0) * scale + 2.0 * pad
+    height = (y1 - y0) * scale + 2.0 * pad
+    out = [_svg_header(width, height)]
+    if skipped:
+        out.append(omitted)
     dot_tail = f'" r="{IMAGE_SIZE / 320.0:.6f}" fill="#1a1a1a"/>'
-    for x, y in dots:
-        out.append(f'  <circle cx="{(x - x0) * scale + pad:.6f}" '
-                   f'cy="{(y1 - y) * scale + pad:.6f}{dot_tail}')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    lines = chain((f'  <circle cx="{(x - x0) * scale + pad:.6f}" '
+                   f'cy="{(y1 - y) * scale + pad:.6f}" '
+                   f'r="{r * scale:.6f}{tail}' for tail, x, y, r in circles),
+                  (f'  <circle cx="{(p.real - x0) * scale + pad:.6f}" '
+                   f'cy="{(y1 - p.imag) * scale + pad:.6f}{dot_tail}'
+                   for p in finite))
+    while chunk := "\n".join(islice(lines, _CHUNK)):
+        out.append(chunk)
+    del circles  # the exhausted lines no longer holds it
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,17 @@ class TestRender:
         assert svg.count('fill="#1a1a1a"') == 1
         assert "1 unbounded elements omitted" in svg
 
+    def test_all_unbounded_sample_keeps_its_tally(self):
+        # a boundary line and the point at infinity: nothing is drawn,
+        # but both are tallied, not called an empty sample
+        line = SphereDisc(SphereCircle.from_line(0, 1j), 1)
+        s = LimitSetSample(1, (((1,), line),), (INF,), (2.0,))
+        assert render(s) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" '
+            'viewBox="0 0 800.000000 800.000000">\n'
+            "  <!-- 2 unbounded elements omitted -->\n"
+            "</svg>\n")
+
     def test_export_lines(self):
         s = sample(make_basic("T2", lam=4), depth=2)
         lines = export_lines(s)
@@ -371,3 +383,54 @@ def test_audit_decisions_inside_the_slack_band():
                  if not disc_contains(parent, disc))
     assert 0 < len(want) < len(discs) - 1
     assert disconnectedness_report(s).violations == want
+
+
+# A hand-built sample mixing a boundary line, finite discs (one of them
+# an outside disc), finite points and the point at infinity.
+_MIXED = LimitSetSample(2, (
+    ((1,), SphereDisc(SphereCircle.from_line(0, 1j), 1)),
+    ((2,), SphereDisc.from_center_radius(0.5 + 0.25j, 0.125)),
+    ((-2,), SphereDisc.from_center_radius(-3, 2.0, inside=False)),
+    ((2, 2), SphereDisc.from_center_radius(0.55 + 0.25j, 0.01)),
+), (0.5 + 0.3j, INF, -1.25 - 0.5j), (2.0, 0.1))
+
+# SHA-256 of the render bytes of four variants sampled to depth 8
+# (13120 discs and 12660 points, so render joins its lines over many
+# chunks) and of _MIXED.
+_RENDER_GOLDEN = {
+    "general-a":
+        "7209ab64582848e2be53cacb544f8b14a4d1168283f384ff6ece3699927a73ef",
+    "general-b":
+        "01071dec978bec7650ee2ec864e3201536c43dc9f3b5efb20ca25be5b4d83832",
+    "q0s0i00":
+        "fcd5c3155cef68cab72188753ccd87848fc76ccbd4fc43cc81ef95fe5a78a6d1",
+    "q1s1i11":
+        "1f20e3985fb912f88b09c72020ba79c4e145600b7ac855e078f5870ff5425f23",
+    "mixed":
+        "b03b7a6924878349ef5bdb3d4f45521bf5d879271a8ea722342f18d234fdc3fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RENDER_GOLDEN))
+def test_render_bytes(name):
+    s = _MIXED if name == "mixed" else \
+        sample(_variant_system(_VARIANTS[name]), depth=8)
+    svg = render(s).encode()
+    assert hashlib.sha256(svg).hexdigest() == _RENDER_GOLDEN[name]
+
+
+def test_render_memory_is_bounded():
+    # the AC7 system to depth 8 renders 2.46 MB of SVG; the traced peak
+    # while render runs, counting the sample it reads (about 4.9 MiB),
+    # stays below 12 MiB: the lines are joined in chunks, and no
+    # coordinate list or second full-size copy is made
+    tracemalloc.start()
+    try:
+        s = sample(_rank2_system(), depth=8)
+        tracemalloc.reset_peak()
+        svg = render(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(svg) > 2_400_000
+    assert peak < 12 * 2 ** 20
