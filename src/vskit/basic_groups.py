@@ -22,9 +22,8 @@ from fractions import Fraction
 import cmath
 import math
 
-from .moebius import (TOL, MoebiusMap, _map_kind, classify,
-                      projectively_equal, is_identity_map, fixed_points,
-                      INF)
+from .moebius import (MoebiusMap, _has_order, _map_kind, projectively_equal,
+                      is_identity_map, fixed_points, INF)
 from .sphere_geometry import SphereCircle, SphereDisc, map_circle, disc_image
 from .schottky import PairingSystem, verify_pairing
 from .group_algebra import (FiniteAbelianGroup, LeafSymbolic, QuotientMap,
@@ -101,6 +100,8 @@ def _check_lambda(lam, tag="lambda"):
     if lam is None:
         raise BasicGroupError(f"{tag} is required")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise BasicGroupError(f"{tag} must be finite")
     if abs(lam) <= 1.0 + _LAMBDA_MARGIN:
         raise BasicGroupError(f"{tag} must satisfy |{tag}| > 1")
     return lam
@@ -340,55 +341,34 @@ def _presentation(btype, params):
             {"U": (_NEGATE, 2, (1, -1, -1)), "V": (_INVERT, 2, (-1, 1, -1))})
 
 
-def _has_order(t, order):
-    """Whether t rotates by 2 pi j / order, within TOL, for some j prime
-    to order.
-
-    The rotation is read off an eigenvalue of t's matrix, taken through
-    the discriminant (a - d)^2 + 4bc, which is exact on diagonal matrices.
-    Powering t instead gains rounding error in proportion to the order:
-    by order 10^8, the order-th power of a rotation of that order is no
-    longer the identity within TOL.
-    """
-    if not t.conformal:
-        return False
-    k = (t.a + t.d + cmath.sqrt((t.a - t.d) ** 2 + 4 * t.b * t.c)) / 2
-    mu = k * k
-    turn = cmath.phase(mu) / (2 * math.pi)
-    j = round(turn * order)
-    return (abs(abs(mu) - 1.0) <= TOL
-            and 2 * math.pi * abs(turn - j / order) <= TOL
-            and math.gcd(j, order) == 1)
-
-
 def _check_presentation(symbolic, gens):
     """Verify projectively that the matrices satisfy the presentation.
 
-    Free generators must be loxodromic and torsion generators distinct
-    maps; of the relations, t^d asks t to have order exactly d (checked
-    by _has_order, for any d), and every other relator t x t^-1 x^e asks
-    t x t^-1 to equal x^-e.  Sides are compared as maps, never as a
-    relator product against the identity, which loses digits to
-    cancellation at large multipliers.
+    Torsion generators must be distinct maps; of the relations, t^d asks
+    t to have order exactly d (checked by _has_order, for any d), and
+    every other relator t x t^-1 x^e asks t x t^-1 to equal x^-e.  Sides
+    are compared as maps, never as a relator product against the
+    identity, which loses digits to cancellation at large multipliers.
 
-    Every torsion generator must also classify as elliptic.  A rotation
-    by a tiny angle (n past about 10^5) has a trace that classify reads
-    as parabolic, so no check downstream could tell it from one; that
-    is the parameters' fault, reported as a BasicGroupError.
+    Every free generator must also classify as loxodromic, and every
+    torsion generator as elliptic.  A real multiplier with |lambda| below
+    about 1 + 3e-5, or a rotation by a tiny angle (n past about 10^5),
+    has a trace that classify reads as parabolic or elliptic, so no check
+    downstream could tell the generator from one; that is the
+    parameters' fault, reported as a BasicGroupError.
     """
     def check(condition, message):
         if not condition:
             raise RuntimeError(f"internal relation check failed: {message}")
 
-    for name in symbolic.free_names:
-        check(_map_kind(gens[name]) == "loxodromic",
-              f"{name} must be loxodromic")
     names = symbolic.torsion_names
-    for name in names:
-        kind = _map_kind(gens[name])
-        if kind != "elliptic":
-            raise BasicGroupError(
-                f"{name} classifies as {kind}, not elliptic")
+    for want, group in (("loxodromic", symbolic.free_names),
+                        ("elliptic", names)):
+        for name in group:
+            kind = _map_kind(gens[name])
+            if kind != want:
+                raise BasicGroupError(
+                    f"{name} classifies as {kind}, not {want}")
     for i, first in enumerate(names):
         for second in names[i + 1:]:
             check(not projectively_equal(gens[first], gens[second]),
@@ -551,10 +531,10 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
                            start=MoebiusMap.identity())
         u_right = math.prod((right.gens[n] for n in word_names(glue.right)),
                             start=MoebiusMap.identity())
-        if classify(u_left).order != 2:
+        if not _has_order(u_left, 2):
             raise BasicGroupError(
                 f"{_glue_display(glue.left)} is not an involution")
-        if classify(u_right).order != 2:
+        if not _has_order(u_right, 2):
             raise BasicGroupError(
                 f"{_glue_display(glue.right)} is not an involution")
 

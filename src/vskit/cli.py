@@ -4,8 +4,9 @@ A scene file is plain text organized into stanzas.  A stanza starts with
 an unindented header line and owns every following indented ``key
 value...`` line; blank lines and ``#`` comments are ignored.  Numbers
 are exact: ``p/q`` parses as a rational, a bare integer stays an
-integer, anything else becomes a float.  A Moebius matrix is written as
-4 real entries ``a b c d`` or 8 entries ``a_re a_im b_re b_im ...``.
+integer, anything else becomes a float, which must be finite.  A
+Moebius matrix is written as 4 real entries ``a b c d`` or 8 entries
+``a_re a_im b_re b_im ...``.
 
 Stanzas:
 
@@ -57,6 +58,7 @@ printed witness), 2 malformed input.
 """
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -125,9 +127,12 @@ def _number(token, line):
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise SceneError(f"bad number {token!r}", line) from None
+    if not math.isfinite(value):
+        raise SceneError(f"number {token!r} is not finite", line)
+    return value
 
 
 def _numbers(tokens, line, allowed, what):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from .basic_groups import make_basic
 from .combination import (Leaf, PlacementChain, station_frame,
@@ -27,13 +27,13 @@ from .combination import (Leaf, PlacementChain, station_frame,
 from .group_algebra import FiniteAbelianGroup, QuotientMap, kernel_rank
 
 __all__ = ["CyclicSignature", "CyclicConstruction", "kernel_genus",
-           "stream_signatures", "stream_shells", "enumerate_signatures",
+           "stream_signatures", "enumerate_signatures",
            "build_cyclic", "isomorphism_type", "describe"]
 
 
-def _check_count(value, tag):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{tag} must be an integer >= 0")
+def _check_count(value, tag, low=0):
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{tag} must be an integer >= {low}")
     return value
 
 
@@ -94,9 +94,7 @@ class CyclicSignature:
     _g: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) \
-                or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        _check_count(self.n, "n", 2)
         _check_count(self.a, "a")
         _check_count(self.c, "c")
         for attr, low, tag in (("m_orders", 2, "m"), ("n_orders", 3, "n")):
@@ -166,43 +164,23 @@ class CyclicSignature:
 def stream_signatures(n, g_max):
     """Every admissible signature over Z_n with genus at most g_max, lazily.
 
-    The records of `stream_shells(n, g_max)`, chained: the arguments are
-    checked at the call, before any record, and the stream is in (g, a,
-    b, c, d, m_orders, n_orders) order with memory bounded by one shell.
-    """
-    return chain.from_iterable(stream_shells(n, g_max))
-
-
-def stream_shells(n, g_max):
-    """The admissible signatures over Z_n, one ordered list per genus shell.
-
-    The arguments are checked at the call, before any shell.  Shells
-    then come lazily, g = 0, ..., g_max, each list in (a, b, c, d,
-    m_orders, n_orders) order as `_shell_fields` generates it (no shell
-    is sorted); shell g + 1 is built only when asked for, after shell g
-    is handed out.  A shell may be empty.
+    The arguments are checked at the call, before any record.  Records
+    then come in (g, a, b, c, d, m_orders, n_orders) order, one genus
+    shell g = 0, ..., g_max at a time as `_shell_fields` generates it (no
+    shell is sorted), so the stream holds the field tuples of one shell,
+    and of the next while that is built.
 
     Each record is built once, without re-running the constructor's
     validation: its order tuples are drawn sorted from the divisors of n
     in range, its counts pass the admissibility clauses before it is
     kept, and its genus is the shell's g, so the checks could only pass.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    _check_count(n, "n", 2)
     _check_count(g_max, "g_max")
-    return _shells(n, g_max)
-
-
-def _shells(n, g_max):
     make = CyclicSignature._trusted
-    for g, fields in enumerate(_shell_fields(n, g_max)):
-        shell = [make(n, a, c, m_orders, n_orders, g)
-                 for a, _, c, _, m_orders, n_orders in fields]
-        del fields
-        yield shell
-        # dropped, so a consumer that let go of it holds no shell while
-        # the next one is built
-        del shell
+    return (make(n, a, c, m_orders, n_orders, g)
+            for g, fields in enumerate(_shell_fields(n, g_max))
+            for a, _, c, _, m_orders, n_orders in fields)
 
 
 def _shell_fields(n, g_max):
@@ -269,8 +247,8 @@ def enumerate_signatures(n, g_max):
 
     The list of `stream_signatures(n, g_max)`: complete, deterministic,
     in (g, a, b, c, d, m_orders, n_orders) order.  Built one genus shell
-    at a time, each generated in order; use the stream itself to hold
-    only one shell in memory.
+    at a time, each generated in order; use the stream itself to keep
+    memory bounded by a shell.
     """
     return list(stream_signatures(n, g_max))
 

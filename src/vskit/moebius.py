@@ -9,6 +9,7 @@ z -> (a*conj(z) + b) / (c*conj(z) + d).
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,9 +218,11 @@ class MapClass:
     kind is one of: identity, elliptic, parabolic, ambiguous-parabolic,
     loxodromic for conformal maps; reflection, imaginary-reflection,
     pseudo-hyperbolic, anticonformal-elliptic, pseudo-parabolic for
-    anticonformal ones.  order is set for finite-order elliptics (None
-    when no order <= the search bound exists), multiplier for loxodromic,
-    elliptic and pseudo-hyperbolic maps.
+    anticonformal ones.  order is set for elliptics: the least q <=
+    MAX_ELLIPTIC_ORDER whose rotations 2 pi j / q, j prime to q, include
+    the one read off the eigenvalue (twice that for an anticonformal
+    elliptic), None when there is no such q.  multiplier is set for
+    loxodromic, elliptic and pseudo-hyperbolic maps.
     """
 
     kind: str
@@ -227,13 +230,25 @@ class MapClass:
     multiplier: complex | None = None
 
 
-def _elliptic_order(m, tol):
-    power = m
-    for k in range(2, MAX_ELLIPTIC_ORDER + 1):
-        power = power * m
-        if is_identity_map(power, tol):
-            return k
-    return None
+def _has_order(t, order, tol=TOL):
+    """Whether t rotates by 2 pi j / order, within tol, for some j prime
+    to order.
+
+    The rotation is read off an eigenvalue of t's matrix, taken through
+    the discriminant (a - d)^2 + 4bc, which is exact on diagonal matrices.
+    Powering t instead gains rounding error in proportion to the order:
+    by order 10^8, the order-th power of a rotation of that order is no
+    longer the identity within TOL.
+    """
+    if not t.conformal:
+        return False
+    k = (t.a + t.d + cmath.sqrt((t.a - t.d) ** 2 + 4 * t.b * t.c)) / 2
+    mu = k * k
+    turn = cmath.phase(mu) / (2 * math.pi)
+    j = round(turn * order)
+    return (abs(abs(mu) - 1.0) <= tol
+            and 2 * math.pi * abs(turn - j / order) <= tol
+            and math.gcd(j, order) == 1)
 
 
 def _map_kind(m, tol=TOL):
@@ -263,7 +278,8 @@ def classify(m, tol=TOL):
 
     Squared traces within PARABOLIC_BAND of 4 are called parabolic; the
     wider band up to tol is reported as ambiguous-parabolic instead of
-    silently picking a class.
+    silently picking a class.  An elliptic's order is read off its
+    eigenvalue by _has_order, trying q = 2, ..., MAX_ELLIPTIC_ORDER.
     """
     if not m.conformal:
         return _classify_anticonformal(m, tol)
@@ -274,7 +290,9 @@ def classify(m, tol=TOL):
         lam = k * k
         if lam.imag < 0:
             lam = 1.0 / lam
-        return MapClass(kind, order=_elliptic_order(m, tol), multiplier=lam)
+        order = next((q for q in range(2, MAX_ELLIPTIC_ORDER + 1)
+                      if _has_order(m, q, tol)), None)
+        return MapClass(kind, order=order, multiplier=lam)
     if kind == "loxodromic":
         t = m.trace()
         t2 = t * t

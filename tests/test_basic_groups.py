@@ -330,6 +330,13 @@ def test_b3_input_validation():
     with pytest.raises(BasicGroupError) as err:
         make_b3([t5, b], [("c.A", "b.U")])
     assert "not an involution" in str(err.value)
+    # the identity word has no order 2
+    with pytest.raises(BasicGroupError) as err:
+        make_b3([a, b], [(("a.U", "a.U"), "b.U")])
+    assert str(err.value) == "a.U*a.U is not an involution"
+    with pytest.raises(BasicGroupError) as err:
+        make_b3([a, b], [("a.U", ("b.U", "b.U"))])
+    assert str(err.value) == "b.U*b.U is not an involution"
 
 
 def test_b3_single_component_passthrough():
@@ -490,6 +497,34 @@ def test_relation_check_catches_wrong_orders_at_any_n(monkeypatch, btype,
     with pytest.raises(RuntimeError,
                        match="internal relation check failed: E must have"):
         make_basic(btype, **kwargs)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"),
+                                 complex(4, float("nan")),
+                                 complex(float("inf"), 1)])
+@pytest.mark.parametrize("btype,key,extra", [
+    ("T2", "lam", {}), ("T4", "lam", {"n": 3}), ("T5", "lam", {}),
+    ("T6", "lam2", {"lam1": 30.0}), ("T7", "lam3", {"lam1": 16.0,
+                                                    "lam2": 16.0}),
+])
+def test_non_finite_multiplier_is_rejected(btype, key, extra, lam):
+    with pytest.raises(BasicGroupError) as err:
+        make_basic(btype, **extra, **{key: lam})
+    assert str(err.value) == f"lambda{key[3:]} must be finite"
+
+
+@pytest.mark.parametrize("btype,kwargs,name,kind", [
+    ("T2", dict(lam=1.00001), "L", "ambiguous-parabolic"),
+    ("T4", dict(n=3, lam=1.00003), "A", "ambiguous-parabolic"),
+    ("T5", dict(lam=1 + 1e-8), "A", "parabolic"),
+    ("T6", dict(lam1=1.00002, lam2=4.0), "A", "ambiguous-parabolic"),
+    ("T7", dict(lam1=16.0, lam2=16.0, lam3=-1.00001), "C", "elliptic"),
+])
+def test_free_generator_read_as_not_loxodromic_is_rejected(btype, kwargs,
+                                                           name, kind):
+    with pytest.raises(BasicGroupError) as err:
+        make_basic(btype, prefix="L.", **kwargs)
+    assert str(err.value) == f"L.{name} classifies as {kind}, not loxodromic"
 
 
 @pytest.mark.parametrize("lam", [1e4, 1e6, 1e8, 1e10, 1e12, -1e8, 1e10j,

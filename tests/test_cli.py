@@ -270,8 +270,17 @@ class TestParsing:
         ("type T2\n  lam 1/2",
          "line 3: leaf 'L': lambda must satisfy |lambda| > 1"),
         ("type T1\n  n 1", "line 3: leaf 'L': n must be an integer >= 2"),
+        ("type T2\n  lam 1.00001", "line 3: leaf 'L': "
+         "L.L classifies as ambiguous-parabolic, not loxodromic"),
+        ("type T4\n  n 3\n  lam 1.00001", "line 3: leaf 'L': "
+         "L.A classifies as ambiguous-parabolic, not loxodromic"),
+        ("type T6\n  lam1 30\n  lam2 1.00003", "line 3: leaf 'L': "
+         "L.B classifies as ambiguous-parabolic, not loxodromic"),
+        ("type T5\n  lam -1.00001", "line 3: leaf 'L': "
+         "L.A classifies as elliptic, not loxodromic"),
     ], ids=["T1-lam", "T2-n", "T6-lam", "T4-no-n", "T7-no-lam3",
-            "T2-small-lam", "T1-n-1"])
+            "T2-small-lam", "T1-n-1", "T2-near-one", "T4-near-one",
+            "T6-near-one", "T5-near-minus-one"])
     def test_bad_leaf_parameters_are_malformed_input(self, scene_file,
                                                      capsys, fields, message):
         text = f"scene\n  spacing 3\nleaf L\n  {fields}\n"
@@ -308,6 +317,27 @@ class TestParsing:
     ], ids=["wall", "disc1", "disc2", "pair"])
     def test_non_positive_radius_is_malformed_input(self, scene_file, capsys,
                                                     text, message):
+        for command in ("build", "verify"):
+            assert run(command, [scene_file(text)]) == 2
+            assert capsys.readouterr().out == f"scene error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("scene\n  spacing nan\n" + CHAIN3,
+         "line 2: number 'nan' is not finite"),
+        ("pairing\n  pair 0 0 1/4  0 0 4  4 0 0 1/4\n"
+         "  pair 17/15 0 8/15  -17/15 0 8/15  17/8 -15/8 -15/8 nan\n",
+         "line 3: number 'nan' is not finite"),
+        ("pairing\n  pair 0 0 1/4  inf 0 4  4 0 0 1/4\n",
+         "line 2: number 'inf' is not finite"),
+        ("hnn H\n  base none\n  letter 4 0 0 1/4\n  disc1 0 0 1/4 inside\n"
+         "  disc2 0 0 nan outside\n", "line 5: number 'nan' is not finite"),
+        ("leaf L\n  type T4\n  n 3\n  lam nan\n",
+         "line 4: number 'nan' is not finite"),
+        ("leaf L\n  type T2\n  lam -1e400\n",
+         "line 3: number '-1e400' is not finite"),
+    ], ids=["spacing", "pair-map", "pair-circle", "disc2", "lam", "lam-huge"])
+    def test_non_finite_number_is_malformed_input(self, scene_file, capsys,
+                                                  text, message):
         for command in ("build", "verify"):
             assert run(command, [scene_file(text)]) == 2
             assert capsys.readouterr().out == f"scene error: {message}\n"

@@ -135,6 +135,36 @@ class TestClassification:
         assert classify(V).order == 2
         assert classify(UV).order == 2
 
+    def test_elliptic_order_is_the_least_rotation_order(self):
+        # every rotation by 2 pi j / n with j prime to n, n <= 120, in
+        # standard position and under a random conjugation: the order is
+        # n, and no smaller q passes the eigenvalue reading
+        rng = random.Random(22)
+        for n in range(2, 121):
+            for j in range(1, n):
+                if math.gcd(j, n) != 1:
+                    continue
+                w = cmath.exp(1j * math.pi * j / n)
+                m = MoebiusMap(w, 0, 0, 1 / w)
+                t = MoebiusMap(*(complex(rng.uniform(-2, 2),
+                                         rng.uniform(-2, 2))
+                                 for _ in range(4)))
+                for r in (m, m.conjugated_by(t)):
+                    c = classify(r)
+                    assert c.kind == "elliptic" and c.order == n
+                    assert moebius._has_order(r, n)
+                    assert not any(moebius._has_order(r, q)
+                                   for q in range(2, n))
+
+    def test_elliptic_order_past_the_bound_is_none(self):
+        assert moebius.MAX_ELLIPTIC_ORDER == 120
+        c = classify(rotation(121))
+        assert c.kind == "elliptic" and c.order is None
+        assert moebius._has_order(rotation(121), 121)
+        w = cmath.exp(1j * math.pi * (math.sqrt(2) - 1))   # irrational turn
+        c = classify(MoebiusMap(w, 0, 0, 1 / w))
+        assert c.kind == "elliptic" and c.order is None
+
     def test_loxodromic_multiplier(self):
         c = classify(SCALE2)
         assert c.kind == "loxodromic"
