@@ -458,24 +458,6 @@ def _two_point_frame(points):
     return MoebiusMap(1, -complex(pp), 1, -complex(q))
 
 
-def _basis_change(H, a, b):
-    """A linear automorphism of Z2 x Z2 sending b to a, as an image map."""
-    if a == b:
-        return lambda x: x
-    # a, b distinct and nonzero: they form a basis; swap them
-    def decompose(x):
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                v = H.add(H.scale(alpha, a), H.scale(beta, b))
-                if v == x:
-                    return alpha, beta
-        raise ValueError("not spanned")
-    def change(x):
-        alpha, beta = decompose(x)
-        return H.add(H.scale(alpha, b), H.scale(beta, a))
-    return change
-
-
 def _glue_display(spec):
     return "*".join(word_names(spec))
 
@@ -483,15 +465,15 @@ def _glue_display(spec):
 def make_b3(components, gluings, spacing=3.0, depth=6):
     """Amalgamate T3/T5/T6 components over shared involutions.
 
-    Components must carry distinct generator-name prefixes.  gluings[k]
-    joins the running assembly (at components[k]) with components[k+1];
-    each side names an order-2 generator, or a tuple of generators whose
-    product has order 2 (the only usable involution of T6, U*V, is such a
-    product; so is T5's).  Consecutive gluings must use distinct
-    involutions of the shared middle component.  The right factor is
-    conjugated so the named matrices agree, with discs auto-placed
-    around the involution axis (growing retries), unless the gluing
-    carries an explicit disc.
+    Components must carry distinct generator names; a shared name is
+    rejected before any placement.  gluings[k] joins the running
+    assembly (at components[k]) with components[k+1]; each side names
+    an order-2 generator, or a tuple of generators whose product has
+    order 2 (the only usable involution of T6, U*V, is such a product;
+    so is T5's).  Consecutive gluings must use distinct involutions of
+    the shared middle component.  The right factor is conjugated so the
+    named matrices agree, with discs auto-placed around the involution
+    axis (growing retries), unless the gluing carries an explicit disc.
     """
     if not components:
         raise BasicGroupError("at least one component required")
@@ -503,6 +485,11 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
         raise BasicGroupError("need exactly one gluing per added component")
     if len(components) == 1:
         return components[0]
+    names = [name for bg in components for name in bg.gens]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise BasicGroupError(
+            f"generator names shared across components: {shared}")
 
     gluings = [g if isinstance(g, Gluing) else Gluing(*g) for g in gluings]
     for k in range(1, len(gluings)):
@@ -576,7 +563,9 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
                     f"{_glue_display(glue.right)}: {last_error}")
 
         # merge theta: remap the right component's images so the glued
-        # involutions agree in H
+        # involutions agree in H.  a and b are nonzero (theta is injective
+        # on each component's torsion), so swapping them, and fixing 0 and
+        # a + b, is an automorphism of Z2 x Z2
         right_theta = placed_right.default_theta()
         a = H.zero()
         for name in word_names(glue.left):
@@ -584,9 +573,9 @@ def make_b3(components, gluings, spacing=3.0, depth=6):
         b = H.zero()
         for name in word_names(glue.right):
             b = H.add(b, right_theta.images[name])
-        change = _basis_change(H, a, b)
+        swap = {a: b, b: a}
         for name, img in right_theta.images.items():
-            images[name] = change(img)
+            images[name] = swap.get(img, img)
         placed.append(placed_right)
         gens.update(placed_right.gens)
         assembly = node

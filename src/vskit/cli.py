@@ -109,11 +109,18 @@ class Scene:
     lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-# every leaf parameter, in echo order: n, lam, lam1, lam2, lam3
-_LEAF_PARAMETERS = tuple(dict.fromkeys(
-    key for keys in BASIC_PARAMETERS.values() for key in keys))
-_STANZA_KINDS = ("scene", "leaf", "product", "hnn", "pairing", "theta",
-                 "root")
+# each stanza kind's fields, in echo order; root takes none.  A leaf
+# takes every basic parameter: n, lam, lam1, lam2, lam3
+_FIELDS = {
+    "scene": ("spacing",),
+    "leaf": ("type", *dict.fromkeys(
+        key for keys in BASIC_PARAMETERS.values() for key in keys), "frame"),
+    "product": ("parts", "left", "right", "wall"),
+    "hnn": ("base", "letter", "disc1", "disc2", "h1", "h2", "stable"),
+    "pairing": ("pair",),
+    "theta": ("target", "image"),
+    "root": (),
+}
 
 
 def _number(token, line):
@@ -194,7 +201,7 @@ def _fields_to_dict(fields, allowed, repeats=()):
 
 
 def _parse_leaf(name, fields, line):
-    got = _fields_to_dict(fields, ("type", *_LEAF_PARAMETERS, "frame"))
+    got = _fields_to_dict(fields, _FIELDS["leaf"])
     if "type" not in got:
         raise SceneError(f"leaf {name!r} needs a type", line)
     tno, tokens = got.pop("type")
@@ -216,7 +223,7 @@ def _parse_leaf(name, fields, line):
 
 
 def _parse_product(name, fields, line):
-    got = _fields_to_dict(fields, ("parts", "left", "right", "wall"))
+    got = _fields_to_dict(fields, _FIELDS["product"])
     if "parts" in got:
         extra = sorted(set(got) - {"parts"})
         if extra:
@@ -248,8 +255,7 @@ def _parse_product(name, fields, line):
 
 
 def _parse_hnn(name, fields, line):
-    got = _fields_to_dict(fields, ("base", "letter", "disc1", "disc2",
-                                   "h1", "h2", "stable"))
+    got = _fields_to_dict(fields, _FIELDS["hnn"])
     for key in ("base", "letter", "disc1", "disc2"):
         if key not in got:
             raise SceneError(f"hnn {name!r} needs field {key!r}", line)
@@ -285,7 +291,7 @@ def parse_scene(text):
     names = set()
     for header, fields, line in _split_stanzas(text):
         kind = header[0]
-        if kind not in _STANZA_KINDS:
+        if kind not in _FIELDS:
             raise SceneError(f"unknown stanza {kind!r}", line)
         if kind in ("scene", "pairing", "theta"):
             if len(header) != 1:
@@ -310,7 +316,7 @@ def parse_scene(text):
             names.add(name)
 
         if kind == "scene":
-            got = _fields_to_dict(fields, ("spacing",))
+            got = _fields_to_dict(fields, _FIELDS["scene"])
             if "spacing" in got:
                 lineno, tokens = got["spacing"]
                 value = _numbers(tokens, lineno, (1,), "spacing")[0]
@@ -329,7 +335,8 @@ def parse_scene(text):
         elif kind == "pairing":
             if scene.pairing:
                 raise SceneError("duplicate pairing stanza", line)
-            got = _fields_to_dict(fields, ("pair",), repeats=("pair",))
+            got = _fields_to_dict(fields, _FIELDS["pairing"],
+                                  repeats=("pair",))
             for lineno, tokens in got.get("pair", []):
                 values = _numbers(tokens, lineno, (10, 14), "pair")
                 scene.lines[(None, len(scene.pairing))] = lineno
@@ -339,7 +346,7 @@ def parse_scene(text):
         elif kind == "theta":
             if scene.theta is not None:
                 raise SceneError("duplicate theta stanza", line)
-            got = _fields_to_dict(fields, ("target", "image"),
+            got = _fields_to_dict(fields, _FIELDS["theta"],
                                   repeats=("image",))
             if "target" not in got:
                 raise SceneError("theta needs a target", line)
@@ -378,63 +385,31 @@ def load_scene(path):
 # normalized echo
 
 
-def _fmt_number(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-def _fmt_values(values):
-    return " ".join(_fmt_number(v) for v in values)
+def _fmt_field(key, value):
+    """One indented field line; a tuple value is written space-separated,
+    floats by repr, so that the line re-parses equal."""
+    values = value if isinstance(value, tuple) else (value,)
+    return f"  {key} " + " ".join(
+        repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def scene_text(scene):
     """Serialize a Scene back to canonical text that re-parses equal."""
-    blocks = []
-    if scene.settings:
-        lines = ["scene"]
-        for key in sorted(scene.settings):
-            lines.append(f"  {key} {_fmt_number(scene.settings[key])}")
-        blocks.append("\n".join(lines))
-    for name, spec in scene.leaves:
-        lines = [f"leaf {name}", f"  type {spec['type']}"]
-        for key in (*_LEAF_PARAMETERS, "frame"):
-            if key in spec:
-                value = spec[key]
-                if key == "n":
-                    lines.append(f"  n {value}")
-                else:
-                    lines.append(f"  {key} {_fmt_values(value)}")
-        blocks.append("\n".join(lines))
-    for kind, name, spec in scene.nodes:
-        lines = [f"{kind} {name}"]
-        if kind == "product":
-            if "parts" in spec:
-                lines.append(f"  parts {' '.join(spec['parts'])}")
-            else:
-                lines.append(f"  left {spec['left']}")
-                lines.append(f"  right {spec['right']}")
-                lines.append(f"  wall {_fmt_values(spec['wall'])}")
-        else:
-            lines.append(f"  base {spec['base']}")
-            lines.append(f"  letter {_fmt_values(spec['letter'])}")
-            for key in ("disc1", "disc2"):
-                values, side = spec[key][:3], spec[key][3]
-                lines.append(f"  {key} {_fmt_values(values)} {side}")
-            for key in ("h1", "h2", "stable"):
-                if key in spec:
-                    lines.append(f"  {key} {spec[key]}")
-        blocks.append("\n".join(lines))
+    stanzas = [("scene", None, scene.settings)] if scene.settings else []
+    stanzas += [("leaf", name, spec) for name, spec in scene.leaves]
+    stanzas += scene.nodes
+    blocks = ["\n".join([kind if name is None else f"{kind} {name}"]
+                        + [_fmt_field(key, spec[key])
+                           for key in _FIELDS[kind] if key in spec])
+              for kind, name, spec in stanzas]
     if scene.pairing:
-        lines = ["pairing"]
-        for values in scene.pairing:
-            lines.append(f"  pair {_fmt_values(values)}")
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join(["pairing"] + [
+            _fmt_field("pair", values) for values in scene.pairing]))
     if scene.theta is not None:
-        lines = ["theta", f"  target {_fmt_values(scene.theta['target'])}"]
-        for gen, vec in scene.theta["images"]:
-            lines.append(f"  image {gen} {_fmt_values(vec)}")
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join(
+            ["theta", _fmt_field("target", scene.theta["target"])]
+            + [_fmt_field("image", (gen, *vec))
+               for gen, vec in scene.theta["images"]]))
     if scene.root is not None:
         blocks.append(f"root {scene.root}")
     return "\n\n".join(blocks) + "\n"

@@ -78,7 +78,7 @@ class FreeProductNode:
     # certified nodes only: the frozenset of the tree's generator names
     names = None
     # certified trivial-amalgam nodes only: (depth, listing) of factors[-1]
-    # from its B2 check, until a junction built on this node takes it
+    # from its B2 check, read by a junction built on this node
     right_listing = None
 
     def __init__(self, factors, amalgam, amalgam_order, amalgam_elements,
@@ -277,7 +277,8 @@ def _symbolic_listing(model, depth, max_count):
 
 
 def _cyclic_closure(model, g, cap=64):
-    """All powers of g as canonical elements, or None if not finite."""
+    """All powers of g as canonical elements, each mapped to its least
+    exponent, so g's order is the length; None past cap."""
     out = {model.identity(): 0}
     x = g
     k = 1
@@ -356,8 +357,17 @@ def _invariance(X, H, K, depth, listed=None):
     if listed is None:
         listed = K.elements(depth, max_count=ENUMERATION_BUDGET)
     moved = image_relation(X, X)
+    return _sweep(name, listed, lambda elem, word, matrix:
+                  moved(matrix) == "meets" and elem not in h_set)
+
+
+def _sweep(name, listed, fails):
+    """The check that fails(element, word, matrix) holds for no listed
+    triple: the first word for which it holds is the witness; else an
+    exhausted listing passes and a cut one passes to the depth it
+    completed."""
     for elem, word, matrix in listed.triples:
-        if moved(matrix) == "meets" and elem not in h_set:
+        if fails(elem, word, matrix):
             return Check(name, "fail", format_word(word),
                          listed.depth_completed)
     status = "pass" if listed.exhausted else "bounded-pass"
@@ -379,10 +389,10 @@ def _ping_pong_invariance(left, X, depth):
     to `depth`: the listing left's own B2 check made (left.right_listing)
     when it was made to this depth, else a new one.
 
-    The status is the weakest of the two recorded checks and this
-    listing, the depth the smallest.  Returns None when left is not such
-    a node, X is not in B1, or (a) or (b) fails: the caller then lists
-    the whole of left.
+    The status is the weakest of the two recorded checks and the sweep
+    of this listing, the depth the smallest.  Returns None when left is
+    not such a node, X is not in B1, or (a) or (b) fails: the caller
+    then lists the whole of left.
     """
     if left.kind != "product" or left.discs is None \
             or left.amalgam is not None:
@@ -396,18 +406,14 @@ def _ping_pong_invariance(left, X, depth):
             depth, max_count=ENUMERATION_BUDGET)
     # (a) and (b) from one push of X through each element
     onto_x_and_b2 = image_relations(X, (X, B2))
-    for _, word, matrix in listed.triples:
-        if word and "meets" in onto_x_and_b2(matrix):
-            return None
-    exact = listed.exhausted and b1_check.status == b2_check.status == "pass"
-    return Check("precise invariance", "pass" if exact else "bounded-pass",
-                 depth=min(b1_check.depth, b2_check.depth,
-                           listed.depth_completed))
-
-
-def _element_order_in(model, g, cap=64):
-    closure = _cyclic_closure(model, g, cap)
-    return None if closure is None else max(len(closure), 1)
+    sweep = _sweep("precise invariance", listed, lambda elem, word, matrix:
+                   word and "meets" in onto_x_and_b2(matrix))
+    if not sweep.ok:
+        return None
+    checks = (b1_check, b2_check, sweep)
+    status = "pass" if all(c.status == "pass" for c in checks) \
+        else "bounded-pass"
+    return Check(sweep.name, status, depth=min(c.depth for c in checks))
 
 
 def _require_invariant(report, disc, check, where):
@@ -445,9 +451,9 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     B1 to meet B1 or C2.
     Otherwise, and whenever that derivation fails, the whole left group
     is listed.  So a chain built leaf by leaf lists each leaf once: the
-    new node keeps its right factor's listing for the next junction, and
-    drops left's, which it has used (a second junction built on left
-    lists L again).
+    new node keeps its right factor's listing for the next junction.
+    left is not changed, so a second junction built on it reads the
+    same listing and certifies alike.
 
     Neither factor's symbolic model or matrices are built for the whole
     left tree unless an amalgam or that fallback needs them: generator
@@ -488,8 +494,9 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
         if not projectively_equal(m_left, m_right):
             _require(Check("amalgamated generators agree as matrices",
                            "fail", f"{disp_l} and {disp_r} differ"))
-        order_left = _element_order_in(left_data.model, e_left)
-        order_right = _element_order_in(right_data.model, e_right)
+        order_left, order_right = (closure and len(closure) for closure in (
+            _cyclic_closure(left_data.model, e_left),
+            _cyclic_closure(right_data.model, e_right)))
         if order_left is None or order_left != order_right:
             _require(Check("amalgamated generators have equal finite order",
                            "fail", f"orders {order_left} vs {order_right}"))
@@ -523,8 +530,6 @@ def free_product(left, right, amalgam, B1, B2, depth=6):
     node.names = left_names | right_data.matrices.keys()
     if right_listed is not None:
         node.right_listing = (depth, right_listed)
-    if left.kind == "product":
-        left.right_listing = None
     return node
 
 
@@ -594,15 +599,20 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
                 raise CombinationError(f"unknown edge generator {name!r}")
         m1 = base_data.matrices[H1]
         m2 = base_data.matrices[H2]
-        order = _element_order_in(base_data.model,
-                                  base_data.model.generators()[H1])
-        order2 = _element_order_in(base_data.model,
-                                   base_data.model.generators()[H2])
+        model = base_data.model
+        order, order2 = (closure and len(closure) for closure in (
+            _cyclic_closure(model, model.generators()[H]) for H in (H1, H2)))
         if order is None or order != order2:
             raise CombinationError(
                 f"edge generators must have equal finite order, got "
                 f"{order} vs {order2}")
         edge_order = order
+        # symbolic coverage: stable letter commuting with a fully torsion
+        # base whose torsion equals the edge group
+        edge_is_full_base = (getattr(model, "rank", None) == 0
+                             and order == model.torsion.order
+                             and all(projectively_equal(A * m, m * A)
+                                     for m in base_data.matrices.values()))
         conj = A.inverse() * m2 * A
         power = m1
         generates = False
@@ -625,29 +635,10 @@ def hnn_extension(base, A, B1, B2, H1=None, H2=None, depth=6,
                            _invariance(B2, H2, base_data, depth, listed),
                            "base")
 
-        name = "no base word drags closed B1 onto closed B2"
         drag = image_relation(B1, B2)
-        dragged = next((word for _, word, matrix in listed.triples
-                        if drag(matrix) != "disjoint"), None)
-        if dragged is not None:
-            sweep = Check(name, "fail", format_word(dragged),
-                          listed.depth_completed)
-        elif listed.exhausted:
-            sweep = Check(name, "pass", depth=depth)
-        else:
-            sweep = Check(name, "bounded-pass", depth=listed.depth_completed)
-        report.checks.append(_require(sweep))
-
-        # symbolic coverage: stable letter commuting with a fully torsion
-        # base whose torsion equals the edge group
-        model = base_data.model
-        if H1 is not None and getattr(model, "rank", None) == 0:
-            full = _cyclic_closure(model, model.generators()[H1])
-            commutes = all(projectively_equal(A * m, m * A)
-                           for m in base_data.matrices.values())
-            edge_is_full_base = (full is not None
-                                 and len(full) == model.torsion.order
-                                 and commutes)
+        report.checks.append(_require(_sweep(
+            "no base word drags closed B1 onto closed B2", listed,
+            lambda elem, word, matrix: drag(matrix) != "disjoint")))
 
     return HnnNode(base_node, stable_name, A, edge_order,
                    edge_is_full_base, report)

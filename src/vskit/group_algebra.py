@@ -100,9 +100,6 @@ class FiniteAbelianGroup:
             frontier = nxt
         return seen
 
-    def generated_by(self, generators):
-        return len(self.subgroup(generators)) == self.order
-
     def label(self):
         if not self.orders:
             return "trivial"
@@ -712,13 +709,11 @@ def kernel_rank(tree, theta, force=False):
     """
     problems, torsion_free, images = _theta_check(tree, theta)
     H = theta.target
-    surjective = H.generated_by(images)
-    order_h = H.order
-    if not surjective:
-        if not force:
-            problems.append("theta is not surjective; use force to compute "
-                            "against the image subgroup")
-        order_h = len(H.subgroup(images))
+    order_h = len(H.subgroup(images))
+    surjective = order_h == H.order
+    if not surjective and not force:
+        problems.append("theta is not surjective; use force to compute "
+                        "against the image subgroup")
     chi = euler_characteristic(tree)
     rank = 1 - order_h * chi
     if rank.denominator != 1:

@@ -209,9 +209,17 @@ def sample(source, depth=8, require_verified=True,
     _first_of_root_class): every point, and for a verified system no
     point twice; an unverified system may repeat points.
     Basic groups with a standard pairing are sampled through it; other
-    leaves and assembled trees yield fixed points only.  Uncertified
-    trees and unverified pairings are rejected unless
-    require_verified=False.
+    leaves, and any source that carries a construction tree (assembled
+    groups, composite B3 groups), yield the fixed points of their
+    elements only.  Uncertified trees and unverified pairings are
+    rejected unless require_verified=False.
+
+    Element samples drop a point equal to an earlier one in 9 decimal
+    digits, not by root class: an element with torsion can share its
+    fixed points with one of another root class, when a torsion element
+    commutes with a loxodromic one, and the two solves differ in the
+    last bits.  In a T4 leaf (n = 2, lambda = 4) placed at station 6,
+    A and A*E both fix 5 and 7, and their float fixed points differ.
 
     A word of a pairing sample costs one product, one pushforward and,
     if it adds points, one fixed-point solve.  Its disc's side is the
@@ -222,14 +230,15 @@ def sample(source, depth=8, require_verified=True,
     """
     if isinstance(source, PairingSystem):
         return _sample_pairing(source, depth, require_verified, circle_budget)
-    if hasattr(source, "pairing_system"):
+    tree = getattr(source, "tree", None)
+    if tree is None and hasattr(source, "pairing_system"):
         if source.schottky_names:
             system = source.pairing_system(verify=require_verified)
             return _sample_pairing(system, depth, require_verified,
                                    circle_budget)
         # finite leaf: no loxodromic pairing, fixed points only
         return _sample_elements(GroupData.coerce(source), depth, circle_budget)
-    node = source.tree if hasattr(source, "tree") else source
+    node = source if tree is None else tree
     if not hasattr(node, "kind"):
         raise TypeError(f"cannot sample a {type(source).__name__}")
     problems = _uncertified_nodes(node)

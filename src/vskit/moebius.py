@@ -82,7 +82,8 @@ class MoebiusMap:
     agree and their matrices agree up to sign.
 
     The constructor takes user entries of any nonzero determinant and
-    divides them by its square root; singular matrices are rejected.
+    divides them by its square root, first scaling entries of extreme
+    size by a power of two; singular matrices are rejected.
     Products, inverses, powers and conjugates are built from det-1
     factors and skip that step (see _from_det1).
     """
@@ -91,8 +92,17 @@ class MoebiusMap:
 
     def __init__(self, a, b, c, d, conformal=True):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        det = a * d - b * c
         scale = max(abs(a), abs(b), abs(c), abs(d))
+        if not 2.0 ** -48 < scale < 2.0 ** 48:
+            # bring the largest entry into [1/2, 1) by an exact power of
+            # two, so that the determinant neither overflows nor falls
+            # under the singular bound; normalizing cancels the shift
+            shift = -math.frexp(scale)[1]
+            a, b, c, d = (complex(math.ldexp(z.real, shift),
+                                  math.ldexp(z.imag, shift))
+                          for z in (a, b, c, d))
+            scale = math.ldexp(scale, shift)
+        det = a * d - b * c
         if scale > 0.0 and abs(det) < 1e-9 * scale * scale:
             det = _exact_det(a, b, c, d)
         if abs(det) < 1e-30:

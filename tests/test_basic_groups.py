@@ -310,6 +310,25 @@ def test_b3_three_t3_chain():
     assert projectively_equal(g.gens["b.V"], g.gens["c.U"])
 
 
+def test_b3_rejects_shared_names_before_any_placement(monkeypatch):
+    # a counter, not a clock: names shared across components are an
+    # input error, so no placement is attempted
+    calls = []
+    real = basic_groups.free_product
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(basic_groups, "free_product", counted)
+    a = make_basic("T3", prefix="a.")
+    with pytest.raises(BasicGroupError) as err:
+        make_b3([a, make_basic("T3", prefix="a.")], [Gluing("a.U", "a.V")])
+    assert str(err.value) == ("generator names shared across components: "
+                              "['a.U', 'a.V']")
+    assert calls == []
+
+
 def test_b3_rejects_consecutive_involution_reuse():
     parts = [make_basic("T3", prefix=p) for p in ("a.", "b.", "c.")]
     with pytest.raises(BasicGroupError) as err:

@@ -142,6 +142,67 @@ theta
   image e2.E 4
 """
 
+# every stanza kind and every field: leaf fields out of echo order, a
+# rational, an 8-entry and a 4-entry frame, wall and parts products, an
+# hnn with h1/h2/stable and a defaulted disc side, scene spacing, a
+# pairing and theta
+EVERY_FIELD = """\
+scene
+  spacing 5/2
+
+leaf A
+  lam 2 1/2
+  frame 1 0 0 0 0 0 1 0
+  n 3
+  type T4
+
+leaf B
+  type T1
+  n 2
+  frame 2.5 1.5 1 1
+
+leaf C
+  lam3 1.5
+  lam1 4
+  lam2 -3
+  type T7
+
+leaf D
+  type T6
+  lam1 3
+  lam2 5
+
+product W
+  wall 0 0 1
+  right D
+  left C
+
+product P
+  parts A B
+
+hnn H
+  stable t
+  h2 B.E
+  h1 B.E
+  disc2 0 0 4 outside
+  disc1 0 0 1/4
+  letter 4 0 0 1/4
+  base P
+
+pairing
+  pair 0 0 1/4  0 0 4  4 0 0 1/4
+  pair 17/15 0 8/15  -17/15 0 8/15  17/8 -15/8 -15/8 17/8
+
+theta
+  target 6
+  image A.A 0
+  image A.E 2
+  image B.E 3
+
+root H
+"""
+
+
 @pytest.fixture
 def scene_file(tmp_path):
     def write(text, name="scene.vsk"):
@@ -170,6 +231,13 @@ class TestParsing:
         for text in (RANK_T4, CHAIN3, PAIR_OK, HNN_OK, WALL_PRODUCT):
             scene = parse_scene(text)
             assert parse_scene(scene_text(scene)) == scene
+
+    def test_every_field_echo_is_pinned(self):
+        scene = parse_scene(EVERY_FIELD)
+        text = scene_text(scene)
+        assert parse_scene(text) == scene
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8cdd033456711b7015932cdbd7f7c44f6da40c82b901d069737f0f46d89f6ac5")
 
     def test_diagnostics_carry_line_numbers(self):
         cases = [
@@ -356,6 +424,16 @@ class TestParsing:
         path = scene_file("leaf L\n  type T4\n  n 121\n  lam 4\n")
         assert run("build", [path]) == 0
         assert "L.E^121 = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("frame", ["1e300 0 0 1e300",
+                                       "1e-150 0 0 1e-150"])
+    def test_identity_frame_far_from_one_builds_like_no_frame(self, frame):
+        # the float determinant of such a frame overflows or underflows
+        plain = "leaf L\n  type T4\n  n 3\n  lam 2\n"
+        groups = [construct(parse_scene(text)).groups["L"] for text in
+                  (plain, plain + f"  frame {frame}\n")]
+        assert [(name, m.entries) for name, m in groups[0].gens.items()] \
+            == [(name, m.entries) for name, m in groups[1].gens.items()]
 
     def test_theta_arity_message(self):
         with pytest.raises(SceneError, match="image takes a name and 2"):

@@ -788,6 +788,26 @@ def test_failed_ping_pong_falls_back_to_the_whole_listing():
     assert err.value.report.depth == listed.depth == 6
 
 
+def test_junction_leaves_its_left_node_unchanged():
+    # free_product reads left's listing of its last factor but does not
+    # take it: a second junction on the same left node certifies alike
+    chain = PlacementChain()
+    for k, (btype, params) in enumerate(SUITE_CHAINS[0][1][:3]):
+        chain.append(make_basic(btype, prefix=f"x{k}.", **params))
+    left = chain.node
+    kept = left.right_listing
+    assert kept is not None
+    X = station_boundary(chain.right_edge + chain.spacing)
+    certified = []
+    for prefix in ("y.", "z."):
+        placed = chain._placed(make_basic("T1", n=3, prefix=prefix),
+                               chain.right_edge + 2 * chain.spacing)
+        node = free_product(left, Leaf(placed), None, X, X.complement())
+        assert left.right_listing is kept
+        certified.append([c.line() for c in node.certificates[-1].checks])
+    assert certified[0] == certified[1]
+
+
 def test_ping_pong_pushes_each_element_once(monkeypatch):
     # a counter, not a clock: relations (a) and (b) are decided from one
     # push of X through each non-identity element of L, not one each

@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from vskit.basic_groups import make_basic
-from vskit.combination import assemble
+from vskit.basic_groups import Gluing, make_b3, make_basic
+from vskit.combination import Leaf, assemble, station_frame
 from vskit.cyclic_case import CyclicSignature, build_cyclic
 from vskit.limitset import (LimitSetSample, disconnectedness_report,
                             export_lines, render, sample)
@@ -78,6 +78,27 @@ class TestSampling:
         s = sample(built, depth=4)
         assert s.discs == () and len(s.points) == 40
         assert sample(assemble(built.tree), depth=4).points == s.points
+
+    def test_composite_leaf_is_sampled_through_its_tree(self):
+        # a B3 group has Schottky generators but no standard pairing
+        g = make_b3([make_basic("T3", prefix="a."),
+                     make_basic("T5", lam=4.0, prefix="b.")],
+                    [Gluing("a.U", "b.V")])
+        assert g.schottky_names == ("b.A",)
+        s = sample(g, depth=3)
+        assert s == sample(g.tree, depth=3) and len(s.points) == 28
+
+    def test_element_sample_merges_fixed_points_across_root_classes(self):
+        # E commutes with A, so A and A*E lie in different root classes
+        # yet fix the same two points, which their solves give with
+        # different last bits; the sample keeps each point once
+        t4 = make_basic("T4", n=2, lam=4.0)
+        placed = t4.conjugated_by(station_frame(6.0, t4.standard_scale()))
+        A, E = placed.gens["A"], placed.gens["E"]
+        assert fixed_points(A) != fixed_points(A * E)
+        points = sample(Leaf(placed), depth=2).points
+        for p in (5, 7):
+            assert sum(abs(q - p) < 1e-9 for q in points) == 1
 
     def test_uncertified_tree_rejected(self):
         fast = build_cyclic(CyclicSignature(3, n_orders=(3, 3)),

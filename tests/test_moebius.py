@@ -322,6 +322,27 @@ class TestConditioning:
         with pytest.raises(ValueError):
             MoebiusMap(0, 0, 0, 0)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-150, 2.0 ** 600,
+                                       2.0 ** -600, 1e-20])
+    def test_entries_far_from_one_normalize(self, scale):
+        # the float determinant of such entries overflows or underflows;
+        # rescaled by a power of two, they normalize to the entries of
+        # the unscaled matrix, bit for bit
+        assert MoebiusMap(scale, 0, 0, scale).entries == \
+            MoebiusMap.identity().entries
+        m = MoebiusMap(2 * scale, 0, 0, 0.5 * scale)
+        assert m.entries == MoebiusMap(2, 0, 0, 0.5).entries
+        z = complex(scale, scale)
+        assert MoebiusMap(z, 0, 0, z).entries == \
+            MoebiusMap(1 + 1j, 0, 0, 1 + 1j).entries
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-150])
+    def test_singular_matrix_rejected_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="singular"):
+            MoebiusMap(scale, 2 * scale, 2 * scale, 4 * scale)
+        with pytest.raises(ValueError, match="singular"):
+            MoebiusMap(scale, 0, 0, 0)
+
 
 # the AC7 rank-2 pairing conjugated by z -> 1.3 e^{0.7i} z + 0.2 + 0.1i,
 # so that no entry of a word matrix is a dyadic rational
